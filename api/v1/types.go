@@ -150,11 +150,10 @@ type ScheduleStep struct {
 	Ops    int `json:"ops"`
 }
 
-// WitnessSchedule is the unified schedule shape every engine serializes
-// its witnesses in: a run-length-encoded worker dispatch sequence. The
+// WitnessSchedule is the unified schedule shape the engines serialize
+// their witnesses in: a run-length-encoded worker dispatch sequence. The
 // static analyzer emits the sequential composition that realizes a
-// MustRace pair; explore emits the dispatch prefix of the first run that
-// raised an exception; predict emits the sync-preserving reordering its
+// MustRace pair; predict emits the sync-preserving reordering its
 // certification replayed.
 type WitnessSchedule struct {
 	Steps []ScheduleStep `json:"steps"`
@@ -180,9 +179,9 @@ type RaceWitness struct {
 	// Detector names the detector that raised the exception.
 	Detector string `json:"detector"`
 	// Schedule, when present, is the dispatch sequence that realizes the
-	// race — attached by scheduled replays, explore bridges and predict
-	// certifications; absent for seeded runs whose interleaving is only
-	// identified by the seed.
+	// race — attached by scheduled replays and predict certifications;
+	// absent for seeded runs whose interleaving is only identified by
+	// the seed.
 	Schedule *WitnessSchedule `json:"schedule,omitempty"`
 }
 

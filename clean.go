@@ -80,8 +80,11 @@ type (
 	Dump = machine.Dump
 	// Injector is the fault-injection hook (see internal/faults).
 	Injector = machine.Injector
-	// Tracer receives the machine's dynamic event stream (see
-	// internal/trace and internal/hwsim).
+	// Tracer receives the machine's dynamic event stream: every access,
+	// unit of private work and synchronization operation, each with the
+	// executing Thread, and each channel operation at its happens-before
+	// point (see internal/trace for the recorder the hardware simulator
+	// replays).
 	Tracer = machine.Tracer
 	// Stats aggregates a run's counters.
 	Stats = machine.Stats
@@ -156,7 +159,7 @@ const (
 	// detector it behaves like DetectCLEAN (certification replays run
 	// CLEAN); the prediction pipeline itself drives recording and replay
 	// through the entry points that accept it (cleanvet -dynamic,
-	// cleanrun -detect predict, predict service jobs, internal/predict).
+	// cleanrun -det predict, predict service jobs, internal/predict).
 	DetectPredict
 
 	// numDetections is the sentinel one past the last valid mode. Every

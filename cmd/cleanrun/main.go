@@ -50,7 +50,6 @@ func main() {
 		report   = flag.String("report", "", "write the run's schema-versioned RunReport JSON to this file (- for stdout)")
 		remote   = flag.String("remote", "", "run on a cleand server at this base URL instead of in-process")
 	)
-	flag.StringVar(det, "detect", "clean", "alias for -det")
 	flag.Parse()
 
 	if *list {
@@ -316,6 +315,9 @@ func runPredict(name, scale, variant string, seed int64, maxSteps uint64) {
 	}
 	fmt.Printf("recording:  %d events in %d steps; %d candidate pairs, %d feasible, %d uncertified (%d replay steps)\n",
 		res.Recording.Events, res.RecordSteps, res.Candidates, res.Feasible, res.Uncertified, res.ReplaySteps)
+	if res.Capped {
+		fmt.Printf("capped:     the screen stopped at %d candidate pairs; pairs past the cap were not examined\n", res.Candidates)
+	}
 	if len(res.Predictions) == 0 {
 		fmt.Printf("no races predicted from the recorded run\n")
 		return

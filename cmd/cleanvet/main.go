@@ -260,6 +260,9 @@ func runDynamic(desc string, p *prog.Program, gp *gofront.Program, seed int64, m
 	fmt.Printf("recording:  %d events, %d steps (seed %d)\n", res.Recording.Events, res.RecordSteps, seed)
 	fmt.Printf("screening:  %d candidate pairs, %d feasible reorderings, %d uncertified\n",
 		res.Candidates, res.Feasible, res.Uncertified)
+	if res.Capped {
+		fmt.Printf("capped:     the screen stopped at %d candidate pairs; pairs past the cap were not examined\n", res.Candidates)
+	}
 	for _, pr := range res.Predictions {
 		v1 := pr.V1(src)
 		loc := ""

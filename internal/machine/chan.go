@@ -90,9 +90,7 @@ func (t *Thread) Send(c *Chan) {
 	k := c.sendArrivals
 	c.sendArrivals++
 	c.sendVCs = append(c.sendVCs, t.VC.Copy())
-	if co, ok := m.cfg.Tracer.(ChanObserver); ok {
-		co.ChanArrive(t.ID, c.id, k, c.cap)
-	}
+	c.trace(t, SyncChanSend, k)
 	m.tickClock(t)
 	c.wakeWaiters() // message k is now receivable
 	if need := k - c.cap; need >= 0 {
@@ -115,10 +113,7 @@ func (t *Thread) Send(c *Chan) {
 	}
 	c.sends++
 	t.syncDone()
-	m.trace(t.ID, SyncChanSend, c.id)
-	if co, ok := m.cfg.Tracer.(ChanObserver); ok {
-		co.ChanComplete(t.ID, c.id, true, k, c.cap)
-	}
+	c.trace(t, SyncChanSendDone, k)
 }
 
 // Recv performs one channel receive: it blocks until a message is
@@ -151,8 +146,12 @@ func (t *Thread) Recv(c *Chan) {
 	m.tickClock(t)
 	c.wakeWaiters() // a capacity slot is now free
 	t.syncDone()
-	m.trace(t.ID, SyncChanRecv, c.id)
-	if co, ok := m.cfg.Tracer.(ChanObserver); ok {
-		co.ChanComplete(t.ID, c.id, false, r, c.cap)
+	c.trace(t, SyncChanRecv, r)
+}
+
+// trace reports channel operation kind at queue position pos.
+func (c *Chan) trace(t *Thread, kind SyncEvent, pos int) {
+	if tr := c.m.cfg.Tracer; tr != nil {
+		tr.Sync(t, kind, c.id, pos, c.cap)
 	}
 }

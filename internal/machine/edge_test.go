@@ -2,6 +2,7 @@ package machine
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -149,14 +150,20 @@ func TestAccessBySizeHistogram(t *testing.T) {
 	}
 }
 
-// fullTracer counts every tracer callback.
-type fullTracer struct{ accesses, syncs, workUnits int }
+// fullTracer counts every tracer callback and logs the sync events.
+type fullTracer struct {
+	accesses, syncs, workUnits int
+	log                        []string
+}
 
-func (f *fullTracer) Access(tid int, addr uint64, size int, write, shared bool, clock uint32) {
+func (f *fullTracer) Access(t *Thread, addr uint64, size int, write, shared bool) {
 	f.accesses++
 }
-func (f *fullTracer) Sync(tid int, kind SyncEvent, obj uint64) { f.syncs++ }
-func (f *fullTracer) Work(tid, n int)                          { f.workUnits += n }
+func (f *fullTracer) Sync(t *Thread, kind SyncEvent, obj uint64, pos, capacity int) {
+	f.syncs++
+	f.log = append(f.log, fmt.Sprintf("seq%d %v %d/%d", t.Seq, kind, pos, capacity))
+}
+func (f *fullTracer) Work(t *Thread, n int) { f.workUnits += n }
 
 func TestTracerReceivesAllEventKinds(t *testing.T) {
 	tr := &fullTracer{}
@@ -173,6 +180,35 @@ func TestTracerReceivesAllEventKinds(t *testing.T) {
 	}
 	if tr.accesses != 1 || tr.syncs != 2 || tr.workUnits != 7 {
 		t.Fatalf("tracer saw accesses=%d syncs=%d work=%d", tr.accesses, tr.syncs, tr.workUnits)
+	}
+}
+
+// TestTracerChannelEventsAtHappensBeforePoints: on an unbuffered channel
+// the send is reported at arrival, before the receive it publishes to,
+// and again at completion, after that receive — under every schedule.
+func TestTracerChannelEventsAtHappensBeforePoints(t *testing.T) {
+	want := "seq1 send 0/0, seq2 recv 0/0, seq1 send-done 0/0"
+	for seed := int64(0); seed < 20; seed++ {
+		tr := &fullTracer{}
+		m := New(Config{Seed: seed, Tracer: tr})
+		c := m.NewChan(0)
+		if err := m.Run(func(th *Thread) {
+			s := th.Spawn(func(s *Thread) { s.Send(c) })
+			r := th.Spawn(func(r *Thread) { r.Recv(c) })
+			th.Join(s)
+			th.Join(r)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var chanEvents []string
+		for _, e := range tr.log {
+			if !strings.HasPrefix(e, "seq0 ") {
+				chanEvents = append(chanEvents, e)
+			}
+		}
+		if got := strings.Join(chanEvents, ", "); got != want {
+			t.Fatalf("seed %d: channel events %s, want %s", seed, got, want)
+		}
 	}
 }
 

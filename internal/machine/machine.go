@@ -8,8 +8,8 @@
 // reproduction cannot instrument goroutine memory traffic, so the machine
 // makes the interception structural instead: every access flows through
 // Thread.Load/Store, which classify it (shared vs private), feed it to the
-// configured race Detector, count it, and optionally record it to a Tracer
-// for the hardware simulator.
+// configured race Detector, count it, and report it to the configured
+// Tracer, if any.
 //
 // The seeded scheduler supplies the controlled nondeterminism the paper's
 // execution model is about: with different seeds, a racy read/write pair
@@ -59,9 +59,10 @@ const (
 	SyncCondWait
 	SyncChanSend
 	SyncChanRecv
+	SyncChanSendDone
 )
 
-var syncEventNames = [...]string{"acquire", "release", "barrier", "spawn", "join", "signal", "condwait", "send", "recv"}
+var syncEventNames = [...]string{"acquire", "release", "barrier", "spawn", "join", "signal", "condwait", "send", "recv", "send-done"}
 
 func (e SyncEvent) String() string {
 	if int(e) < len(syncEventNames) {
@@ -70,39 +71,27 @@ func (e SyncEvent) String() string {
 	return fmt.Sprintf("sync(%d)", int(e))
 }
 
-// Tracer receives the machine's dynamic event stream. The hardware
-// simulator consumes traces recorded through this interface. clock is the
-// accessing thread's main vector-clock element at the access — together
-// with tid it is the thread's current epoch, which is all the hardware
-// race-check model needs to reconstruct metadata state at replay time.
+// Tracer receives the machine's dynamic event stream. Every callback gets
+// the executing thread, so its reusable ID, its unique spawn sequence
+// number Seq and its vector clock VC are at hand. The hardware simulator,
+// the predictive detector's recorder and replay driver, and the static
+// analyzer's witness check all read this one stream.
 type Tracer interface {
-	Access(tid int, addr uint64, size int, write, shared bool, clock uint32)
-	Sync(tid int, kind SyncEvent, obj uint64)
-	// Work records n units of private computation (non-memory
+	// Access reports a memory access before its race check; t.VC is the
+	// clock the access carries.
+	Access(t *Thread, addr uint64, size int, write, shared bool)
+	// Sync reports a synchronization operation. obj is the object's id;
+	// for SyncSpawn and SyncJoin it is the child's spawn sequence
+	// number. Each channel operation is reported at its happens-before
+	// point: a send at arrival (SyncChanSend, when it takes queue
+	// position pos and publishes its message), a receive at completion
+	// (SyncChanRecv). A send is reported again when it completes
+	// (SyncChanSendDone), having joined the receive that freed its
+	// capacity slot. pos and capacity are zero for non-channel events.
+	Sync(t *Thread, kind SyncEvent, obj uint64, pos, capacity int)
+	// Work reports n units of private computation (non-memory
 	// instructions, 1 cycle each in the paper's simple-core model).
-	Work(tid int, n int)
-}
-
-// SpawnObserver is an optional Tracer extension. The SyncSpawn event
-// carries only the child's spawn sequence number; implementations of this
-// interface additionally learn the child's thread id, which the compact
-// callback cannot (ids are reused after Join, sequence numbers are not).
-// The predictive-detection recorder (internal/predict) needs the mapping
-// to attribute later events to logical threads.
-type SpawnObserver interface {
-	SpawnChild(parentTID, childTID, childSeq int)
-}
-
-// ChanObserver is an optional Tracer extension receiving channel queue
-// positions at the happens-before-relevant points of the Go memory
-// model's channel edges. A send publishes its message when it takes its
-// queue position (arrival) — possibly long before the SyncChanSend event,
-// which fires only at completion — so ChanArrive is the point the k-th
-// send's edge to the k-th receive originates. ChanComplete fires when the
-// operation finishes, alongside the regular Sync event.
-type ChanObserver interface {
-	ChanArrive(tid int, ch uint64, pos, capacity int)
-	ChanComplete(tid int, ch uint64, send bool, pos, capacity int)
+	Work(t *Thread, n int)
 }
 
 // Config configures a Machine.
@@ -718,9 +707,9 @@ func (m *Machine) reapLocks(t *Thread) {
 	t.held = nil
 }
 
-func (m *Machine) trace(tid int, kind SyncEvent, obj uint64) {
+func (m *Machine) trace(t *Thread, kind SyncEvent, obj uint64) {
 	if m.cfg.Tracer != nil {
-		m.cfg.Tracer.Sync(tid, kind, obj)
+		m.cfg.Tracer.Sync(t, kind, obj, 0, 0)
 	}
 }
 

@@ -181,7 +181,7 @@ func (t *Thread) Lock(l *Mutex) {
 	t.held = append(t.held, l)
 	t.VC.Join(l.vc)
 	t.syncDone()
-	m.trace(t.ID, SyncAcquire, l.id)
+	m.trace(t, SyncAcquire, l.id)
 	t.acquires++
 	if inj := m.cfg.Injector; inj != nil && inj.CrashOnAcquire(t.ID, t.acquires) {
 		t.crash() // lock-holder death: l is now orphaned
@@ -202,7 +202,7 @@ func (t *Thread) Unlock(l *Mutex) {
 	t.syncEnter()
 	t.unlockLocked(l)
 	t.syncDone()
-	t.m.trace(t.ID, SyncRelease, l.id)
+	t.m.trace(t, SyncRelease, l.id)
 }
 
 // unlockLocked performs the release without the sync prologue/epilogue;
@@ -252,7 +252,7 @@ func (t *Thread) CondWait(c *Cond, l *Mutex) {
 	}
 	t.unlockLocked(l)
 	t.syncDone()
-	m.trace(t.ID, SyncCondWait, c.id)
+	m.trace(t, SyncCondWait, c.id)
 	c.waiters = append(c.waiters, t)
 	t.wakeVC = vclock.VC{}
 	t.wakerCounter = 0
@@ -290,7 +290,7 @@ func (t *Thread) Signal(c *Cond) {
 	}
 	t.m.tickClock(t)
 	t.syncDone()
-	t.m.trace(t.ID, SyncSignal, c.id)
+	t.m.trace(t, SyncSignal, c.id)
 }
 
 // Broadcast wakes every waiter of c.
@@ -302,7 +302,7 @@ func (t *Thread) Broadcast(c *Cond) {
 	c.waiters = nil
 	t.m.tickClock(t)
 	t.syncDone()
-	t.m.trace(t.ID, SyncSignal, c.id)
+	t.m.trace(t, SyncSignal, c.id)
 }
 
 func (t *Thread) wake(w *Thread) {
@@ -322,7 +322,7 @@ func (t *Thread) BarrierWait(b *Barrier) {
 		b.maxCounter = t.DetCounter
 	}
 	b.arrived++
-	m.trace(t.ID, SyncBarrier, b.id)
+	m.trace(t, SyncBarrier, b.id)
 	if b.arrived < b.n {
 		b.waiting = append(b.waiting, t)
 		t.syncDone()
@@ -373,10 +373,7 @@ func (t *Thread) Spawn(fn func(*Thread)) *Thread {
 	child.state = stateRunnable
 	m.startGoroutine(child)
 	t.syncDone()
-	m.trace(t.ID, SyncSpawn, uint64(child.Seq))
-	if so, ok := m.cfg.Tracer.(SpawnObserver); ok {
-		so.SpawnChild(t.ID, child.ID, child.Seq)
-	}
+	m.trace(t, SyncSpawn, uint64(child.Seq))
 	return child
 }
 
@@ -415,7 +412,7 @@ func (t *Thread) Join(child *Thread) {
 		m.freeTIDs = insertSorted(m.freeTIDs, child.ID)
 	}
 	t.syncDone()
-	m.trace(t.ID, SyncJoin, uint64(child.Seq))
+	m.trace(t, SyncJoin, uint64(child.Seq))
 }
 
 func insertSorted(s []int, v int) []int {

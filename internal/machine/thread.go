@@ -160,7 +160,7 @@ func (t *Thread) block(why string) {
 // instruction-count proxy that drives the Kendo deterministic counter.
 func (t *Thread) Work(n int) {
 	if t.m.cfg.Tracer != nil {
-		t.m.cfg.Tracer.Work(t.ID, n)
+		t.m.cfg.Tracer.Work(t, n)
 	}
 	t.step(n)
 }
@@ -241,7 +241,7 @@ func (t *Thread) access(addr uint64, size int, write bool, v uint64) uint64 {
 		}
 	}
 	if m.cfg.Tracer != nil {
-		m.cfg.Tracer.Access(t.ID, addr, size, write, shared, t.VC.Clock(t.ID))
+		m.cfg.Tracer.Access(t, addr, size, write, shared)
 	}
 	var ret uint64
 	if write {

@@ -31,7 +31,6 @@ type replay struct {
 	rec    *Recording
 	wit    []*Event
 	cursor int
-	seqOf  []int // machine thread id -> spawn sequence
 	counts []int // events observed per spawn sequence
 }
 
@@ -39,23 +38,16 @@ func newReplay(rec *Recording, wit []*Event) *replay {
 	return &replay{
 		rec:    rec,
 		wit:    wit,
-		seqOf:  []int{0},
 		counts: make([]int, len(rec.Threads)),
 	}
-}
-
-func (r *replay) seq(tid int) int {
-	if tid >= 0 && tid < len(r.seqOf) {
-		return r.seqOf[tid]
-	}
-	return 0
 }
 
 // observe advances the witness cursor when the expected event executes.
 // Matching is positional: the i-th observed event of a thread must be
 // that thread's i-th recorded event, so kind plus index identifies it.
-func (r *replay) observe(tid int, kind Kind) {
-	s := r.seq(tid)
+// A thread the recording never spawned cannot match.
+func (r *replay) observe(t *machine.Thread, kind Kind) {
+	s := t.Seq
 	if s >= len(r.counts) {
 		return
 	}
@@ -69,58 +61,23 @@ func (r *replay) observe(tid int, kind Kind) {
 	}
 }
 
-func (r *replay) Access(tid int, addr uint64, size int, write, shared bool, clock uint32) {
-	if !shared {
-		return
-	}
-	k := KindRead
-	if write {
-		k = KindWrite
-	}
-	r.observe(tid, k)
-}
-
-func (r *replay) Sync(tid int, kind machine.SyncEvent, obj uint64) {
-	switch kind {
-	case machine.SyncAcquire:
-		r.observe(tid, KindAcquire)
-	case machine.SyncRelease:
-		r.observe(tid, KindRelease)
-	case machine.SyncSpawn:
-		r.observe(tid, KindFork)
-	case machine.SyncJoin:
-		r.observe(tid, KindJoin)
-	case machine.SyncChanSend, machine.SyncChanRecv:
-	default:
-		r.observe(tid, KindOther)
+func (r *replay) Access(t *machine.Thread, addr uint64, size int, write, shared bool) {
+	if shared {
+		r.observe(t, accessKind(write))
 	}
 }
 
-func (r *replay) Work(tid, n int) { r.observe(tid, KindWork) }
-
-func (r *replay) SpawnChild(parentTID, childTID, childSeq int) {
-	for childTID >= len(r.seqOf) {
-		r.seqOf = append(r.seqOf, 0)
-	}
-	r.seqOf[childTID] = childSeq
-	for childSeq >= len(r.counts) {
-		r.counts = append(r.counts, 0)
+// Sync observes a synchronization event; a send's completion is not a
+// program-order event of the recording.
+func (r *replay) Sync(t *machine.Thread, kind machine.SyncEvent, obj uint64, pos, capacity int) {
+	if kind != machine.SyncChanSendDone {
+		r.observe(t, syncKind(kind))
 	}
 }
 
-func (r *replay) ChanArrive(tid int, ch uint64, pos, capacity int) {
-	r.observe(tid, KindSend)
-}
-
-func (r *replay) ChanComplete(tid int, ch uint64, send bool, pos, capacity int) {
-	if !send {
-		r.observe(tid, KindRecv)
-	}
-}
+func (r *replay) Work(t *machine.Thread, n int) { r.observe(t, KindWork) }
 
 var _ machine.Tracer = (*replay)(nil)
-var _ machine.SpawnObserver = (*replay)(nil)
-var _ machine.ChanObserver = (*replay)(nil)
 
 // pick steers the scheduler toward the next witness event's thread.
 func (r *replay) pick(runnable []*machine.Thread) int {

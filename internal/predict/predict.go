@@ -117,17 +117,16 @@ type Recording struct {
 	order []gref
 }
 
-// Recorder implements machine.Tracer plus the SpawnObserver and
-// ChanObserver extensions, building a Recording as the machine runs.
+// Recorder is a machine.Tracer that builds a Recording as the machine
+// runs, attributing every event to its thread's spawn sequence number.
 type Recorder struct {
-	rec   Recording
-	seqOf []int // machine thread id -> spawn sequence (ids are reused)
+	rec Recording
 }
 
 // NewRecorder returns a Recorder ready to be installed as a machine's
 // Tracer.
 func NewRecorder() *Recorder {
-	r := &Recorder{seqOf: []int{0}}
+	r := &Recorder{}
 	r.rec.Threads = [][]Event{nil}
 	return r
 }
@@ -135,15 +134,8 @@ func NewRecorder() *Recorder {
 // Recording returns the recording built so far.
 func (r *Recorder) Recording() *Recording { return &r.rec }
 
-func (r *Recorder) seq(tid int) int {
-	if tid >= 0 && tid < len(r.seqOf) {
-		return r.seqOf[tid]
-	}
-	return 0
-}
-
-func (r *Recorder) add(tid int, e Event) {
-	s := r.seq(tid)
+func (r *Recorder) add(t *machine.Thread, e Event) {
+	s := t.Seq
 	e.Thread = s
 	e.Index = len(r.rec.Threads[s])
 	e.G = len(r.rec.order)
@@ -154,78 +146,72 @@ func (r *Recorder) add(tid int, e Event) {
 
 // Access records a shared access; private memory cannot race and is
 // dropped.
-func (r *Recorder) Access(tid int, addr uint64, size int, write, shared bool, clock uint32) {
-	if !shared {
-		return
+func (r *Recorder) Access(t *machine.Thread, addr uint64, size int, write, shared bool) {
+	if shared {
+		r.add(t, Event{Kind: accessKind(write), Addr: addr, Size: size})
 	}
-	k := KindRead
-	if write {
-		k = KindWrite
-	}
-	r.add(tid, Event{Kind: k, Addr: addr, Size: size})
 }
 
-// Sync records a synchronization event. Channel operations are recorded
-// through the ChanObserver hooks instead, which carry queue positions;
-// the plain completion event would double-count them.
-func (r *Recorder) Sync(tid int, kind machine.SyncEvent, obj uint64) {
+// Sync records a synchronization event. A send's completion adds no
+// program-order event, only a global-order marker for the capacity-slot
+// join, pointing at the send's arrival event.
+func (r *Recorder) Sync(t *machine.Thread, kind machine.SyncEvent, obj uint64, pos, capacity int) {
+	e := Event{Kind: syncKind(kind), Obj: obj}
 	switch kind {
-	case machine.SyncAcquire:
-		r.add(tid, Event{Kind: KindAcquire, Obj: obj})
-	case machine.SyncRelease:
-		r.add(tid, Event{Kind: KindRelease, Obj: obj})
 	case machine.SyncSpawn:
-		r.add(tid, Event{Kind: KindFork, Child: int(obj)})
+		e.Obj, e.Child = 0, int(obj)
+		for e.Child >= len(r.rec.Threads) {
+			r.rec.Threads = append(r.rec.Threads, nil)
+		}
 	case machine.SyncJoin:
-		r.add(tid, Event{Kind: KindJoin, Child: int(obj)})
+		e.Obj, e.Child = 0, int(obj)
 	case machine.SyncChanSend, machine.SyncChanRecv:
-	default:
-		r.add(tid, Event{Kind: KindOther, Obj: obj})
+		e.Pos, e.Cap = pos, capacity
+	case machine.SyncChanSendDone:
+		th := r.rec.Threads[t.Seq]
+		for i := len(th) - 1; i >= 0; i-- {
+			if th[i].Kind == KindSend && th[i].Obj == obj && th[i].Pos == pos {
+				r.rec.order = append(r.rec.order, gref{thread: t.Seq, index: i, done: true})
+				break
+			}
+		}
+		return
 	}
+	r.add(t, e)
 }
 
 // Work records private computation (kept so replay cursors can track it).
-func (r *Recorder) Work(tid, n int) {
-	r.add(tid, Event{Kind: KindWork, Work: n})
-}
-
-// SpawnChild learns the child's reusable thread id alongside its stable
-// spawn sequence number.
-func (r *Recorder) SpawnChild(parentTID, childTID, childSeq int) {
-	for childTID >= len(r.seqOf) {
-		r.seqOf = append(r.seqOf, 0)
-	}
-	r.seqOf[childTID] = childSeq
-	for childSeq >= len(r.rec.Threads) {
-		r.rec.Threads = append(r.rec.Threads, nil)
-	}
-}
-
-// ChanArrive records a send at the point it takes its queue position and
-// publishes its message — the origin of the k-th-send→k-th-receive edge,
-// which for an unbuffered channel precedes the send's completion.
-func (r *Recorder) ChanArrive(tid int, ch uint64, pos, capacity int) {
-	r.add(tid, Event{Kind: KindSend, Obj: ch, Pos: pos, Cap: capacity})
-}
-
-// ChanComplete records a receive (receives arrive and complete
-// atomically) and, for sends, appends a global-order completion marker
-// for the capacity-slot join without adding a second program-order event.
-func (r *Recorder) ChanComplete(tid int, ch uint64, send bool, pos, capacity int) {
-	if !send {
-		r.add(tid, Event{Kind: KindRecv, Obj: ch, Pos: pos, Cap: capacity})
-		return
-	}
-	s := r.seq(tid)
-	for i := len(r.rec.Threads[s]) - 1; i >= 0; i-- {
-		e := &r.rec.Threads[s][i]
-		if e.Kind == KindSend && e.Obj == ch && e.Pos == pos {
-			r.rec.order = append(r.rec.order, gref{thread: s, index: i, done: true})
-			return
-		}
-	}
+func (r *Recorder) Work(t *machine.Thread, n int) {
+	r.add(t, Event{Kind: KindWork, Work: n})
 }
 
 var _ machine.Tracer = (*Recorder)(nil)
-var _ machine.SpawnObserver = (*Recorder)(nil)
-var _ machine.ChanObserver = (*Recorder)(nil)
+
+func accessKind(write bool) Kind {
+	if write {
+		return KindWrite
+	}
+	return KindRead
+}
+
+// syncKind maps a machine synchronization event to the kind it is
+// recorded (and replayed) as; barrier, condition-variable and signal
+// events are KindOther.
+func syncKind(kind machine.SyncEvent) Kind {
+	switch kind {
+	case machine.SyncAcquire:
+		return KindAcquire
+	case machine.SyncRelease:
+		return KindRelease
+	case machine.SyncSpawn:
+		return KindFork
+	case machine.SyncJoin:
+		return KindJoin
+	case machine.SyncChanSend:
+		return KindSend
+	case machine.SyncChanRecv:
+		return KindRecv
+	default:
+		return KindOther
+	}
+}

@@ -181,3 +181,20 @@ func TestPredictionV1(t *testing.T) {
 		t.Error("missing determinism hash")
 	}
 }
+
+// TestCandidateCapIsReported: a screen that stops at MaxCandidates says
+// so, and an uncapped screen does not.
+func TestCandidateCapIsReported(t *testing.T) {
+	p := &prog.Program{Region: 8, Threads: [][]prog.Op{
+		{{Kind: prog.Write, Off: 0, Size: 8}, {Kind: prog.Write, Off: 0, Size: 8}},
+		{{Kind: prog.Write, Off: 0, Size: 8}, {Kind: prog.Write, Off: 0, Size: 8}},
+	}}
+	full := Run(ProgramTarget(p), Options{Seed: 1})
+	if full.Capped || full.Candidates < 2 {
+		t.Fatalf("uncapped run: capped=%v with %d candidates, want false with at least 2", full.Capped, full.Candidates)
+	}
+	capped := Run(ProgramTarget(p), Options{Seed: 1, MaxCandidates: 1})
+	if !capped.Capped || capped.Candidates != 1 {
+		t.Fatalf("MaxCandidates 1: capped=%v with %d candidates, want true with 1", capped.Capped, capped.Candidates)
+	}
+}

@@ -120,6 +120,10 @@ type Result struct {
 	// Candidates counts conflicting cross-thread pairs the weak screen
 	// left unordered (before dedup against already-certified races).
 	Candidates int
+	// Capped reports that the screen stopped at Options.MaxCandidates;
+	// unordered pairs past the cap, if any, were neither counted nor
+	// certified.
+	Capped bool
 	// Feasible counts candidate orderings with a sync-preserving witness.
 	Feasible int
 	// Uncertified counts feasible witnesses whose replay did not raise
@@ -168,8 +172,8 @@ type certKey struct {
 func Run(t Target, o Options) *Result {
 	rec := Record(t, o)
 	res := &Result{Recording: rec, RecordSteps: rec.Steps}
-	cands := screen(rec, o.maxCandidates())
-	res.Candidates = len(cands)
+	cands, capped := screen(rec, o.maxCandidates())
+	res.Candidates, res.Capped = len(cands), capped
 	if len(cands) == 0 {
 		return res
 	}

@@ -44,11 +44,12 @@ func overlaps(a, b *Event) bool {
 }
 
 // screen runs the weak-vector-clock pass and returns up to max unordered
-// conflicting pairs in deterministic (trace) order.
-func screen(rec *Recording, max int) []candidate {
+// conflicting pairs in deterministic (trace) order; capped reports that
+// it stopped at max, so more pairs may have gone unlisted.
+func screen(rec *Recording, max int) (out []candidate, capped bool) {
 	n := len(rec.Threads)
 	if n < 2 {
-		return nil
+		return nil, false
 	}
 	tvc := make([]uvc, n)
 	for i := range tvc {
@@ -117,7 +118,6 @@ func screen(rec *Recording, max int) []candidate {
 		}
 	}
 
-	var out []candidate
 	for j := 1; j < len(accs); j++ {
 		for i := 0; i < j; i++ {
 			a, b := accs[i], accs[j]
@@ -137,9 +137,9 @@ func screen(rec *Recording, max int) []candidate {
 			}
 			out = append(out, candidate{a: a.e, b: b.e})
 			if len(out) >= max {
-				return out
+				return out, true
 			}
 		}
 	}
-	return out
+	return out, false
 }

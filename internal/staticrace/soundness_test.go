@@ -1,6 +1,6 @@
 // Soundness contract of the static analyzer, cross-validated dynamically
-// over fuzzed programs (external test package: it drives internal/explore,
-// which imports staticrace for pruning).
+// over fuzzed programs and the channel corpus (external test package: it
+// drives internal/explore, which imports staticrace for pruning).
 //
 //   - RaceFree is a proof: exhaustive exploration under the reference
 //     oracle (AllRaces — stricter than CLEAN, it also raises on WAR) must
@@ -45,7 +45,7 @@ func fuzzPrograms() []*prog.Program {
 // of the remaining operations — it only deletes scheduling points that
 // multiply the interleaving count without affecting any detector.
 func stripWork(p *prog.Program) *prog.Program {
-	q := &prog.Program{Region: p.Region, Locks: p.Locks}
+	q := &prog.Program{Region: p.Region, Locks: p.Locks, Chans: p.Chans}
 	for _, ops := range p.Threads {
 		var out []prog.Op
 		for _, o := range ops {
@@ -58,9 +58,25 @@ func stripWork(p *prog.Program) *prog.Program {
 	return q
 }
 
+// soundnessPrograms is the fuzzed set plus the channel corpus, less
+// bankrace_mutex: it is race-free, so the check below would have to
+// exhaust its interleavings, and there are over three million of them.
+// gofront's corpus soundness test covers it with bounded exploration and
+// sampled schedules instead.
+func soundnessPrograms(t *testing.T) []*prog.Program {
+	ps := fuzzPrograms()
+	names, chanProgs := chanCorpus(t)
+	for i, p := range chanProgs {
+		if names[i] != "bankrace_mutex" {
+			ps = append(ps, p)
+		}
+	}
+	return ps
+}
+
 func TestSoundnessOnFuzzedPrograms(t *testing.T) {
 	var raceFree, mayRace, mustRace int
-	for i, p := range fuzzPrograms() {
+	for i, p := range soundnessPrograms(t) {
 		rep := staticrace.Analyze(p)
 		switch rep.Verdict() {
 		case staticrace.RaceFree:

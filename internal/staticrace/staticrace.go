@@ -38,8 +38,9 @@
 // happens-before mechanism the lockset abstraction cannot see: a sound
 // must-happen-before closure over program order and schedule-independent
 // channel edges upgrades ordered pairs to RaceFree (see chanorder.go),
-// and the witness check swaps the symbolic lock argument for an exact
-// interpretation of the two sequential schedules (see seqsim.go).
+// and the witness check swaps the symbolic lock argument for running the
+// two sequential schedules on the machine itself and reading each
+// access's vector clock from its event stream (see runSequential).
 // Channel-free programs keep the original symbolic path bit for bit.
 //
 // Verdicts carry WAW/RAW/WAR kind attribution in machine.RaceKind terms,
@@ -54,6 +55,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/prog"
+	"repro/internal/vclock"
 )
 
 // Verdict classifies a pair (or a whole program).
@@ -263,14 +265,14 @@ func Analyze(p *prog.Program) *Report {
 		rep.Accesses = append(rep.Accesses, f.accesses...)
 	}
 
-	// Channel programs use the must-happen-before closure and the exact
-	// schedule interpreter; channel-free programs keep the symbolic path
-	// (identical output to the pre-channel analyzer).
+	// Channel programs use the must-happen-before closure and machine
+	// runs of the sequential schedules; channel-free programs keep the
+	// symbolic path (identical output to the pre-channel analyzer).
 	var ord *opOrder
-	var sims map[[2]int]simOutcome
+	var runs map[[2]int]*seqRun
 	if len(p.Chans) > 0 {
 		ord = mustOrder(p)
-		sims = map[[2]int]simOutcome{}
+		runs = map[[2]int]*seqRun{}
 	}
 
 	for ta := 0; ta < len(facts); ta++ {
@@ -282,7 +284,7 @@ func Analyze(p *prog.Program) *Report {
 						continue
 					}
 					if ord != nil {
-						rep.Pairs = append(rep.Pairs, classifyChan(p, a, b, ord, sims))
+						rep.Pairs = append(rep.Pairs, classifyChan(p, a, b, ord, runs))
 					} else {
 						rep.Pairs = append(rep.Pairs, classify(a, b, facts[ta], facts[tb]))
 					}
@@ -298,15 +300,8 @@ func Analyze(p *prog.Program) *Report {
 
 // classify produces the verdict for one conflicting cross-thread pair.
 func classify(a, b Access, fa, fb threadFacts) Pair {
-	pair := Pair{A: a, B: b, WitnessFirst: -1}
-	if a.Write && b.Write {
-		pair.Kinds = []machine.RaceKind{machine.WAW}
-	} else {
-		pair.Kinds = []machine.RaceKind{machine.RAW, machine.WAR}
-	}
-	if common := intersect(a.Lockset, b.Lockset); len(common) > 0 {
-		pair.Verdict = RaceFree
-		pair.CommonLocks = common
+	pair := newPair(a, b)
+	if pair.CommonLocks != nil {
 		return pair
 	}
 	switch {
@@ -322,14 +317,10 @@ func classify(a, b Access, fa, fb threadFacts) Pair {
 	return pair
 }
 
-// classifyChan produces the verdict for one pair of a program with
-// channels. Common locks still prove mutual exclusion; the channel
-// must-happen-before closure proves ordering; otherwise the two
-// sequential witness schedules are interpreted exactly, and a schedule
-// that executes both accesses with concurrent clocks is a replayable
-// MustRace witness. An ambiguous simulation (multi-waiter mutex wake)
-// proves nothing and the pair stays MayRace.
-func classifyChan(p *prog.Program, a, b Access, ord *opOrder, sims map[[2]int]simOutcome) Pair {
+// newPair starts the verdict for a conflicting cross-thread pair: its
+// race kinds, and RaceFree with the common locks when a lock protects
+// it.
+func newPair(a, b Access) Pair {
 	pair := Pair{A: a, B: b, WitnessFirst: -1}
 	if a.Write && b.Write {
 		pair.Kinds = []machine.RaceKind{machine.WAW}
@@ -339,6 +330,19 @@ func classifyChan(p *prog.Program, a, b Access, ord *opOrder, sims map[[2]int]si
 	if common := intersect(a.Lockset, b.Lockset); len(common) > 0 {
 		pair.Verdict = RaceFree
 		pair.CommonLocks = common
+	}
+	return pair
+}
+
+// classifyChan produces the verdict for one pair of a program with
+// channels. Common locks still prove mutual exclusion; the channel
+// must-happen-before closure proves ordering; otherwise the two
+// sequential witness schedules run on the machine, and a schedule that
+// executes both accesses with concurrent clocks is a replayable MustRace
+// witness. runs caches the schedules by (first, second) worker.
+func classifyChan(p *prog.Program, a, b Access, ord *opOrder, runs map[[2]int]*seqRun) Pair {
+	pair := newPair(a, b)
+	if pair.CommonLocks != nil {
 		return pair
 	}
 	if ord.Ordered(a.Thread, a.Index, b.Thread, b.Index) ||
@@ -347,35 +351,74 @@ func classifyChan(p *prog.Program, a, b Access, ord *opOrder, sims map[[2]int]si
 		pair.ChanOrdered = true
 		return pair
 	}
-	simFor := func(first, second int) simOutcome {
-		key := [2]int{first, second}
-		out, ok := sims[key]
+	for _, order := range [][2]int{{a.Thread, b.Thread}, {b.Thread, a.Thread}} {
+		run, ok := runs[order]
 		if !ok {
-			out = simulateSequential(p, first, second)
-			sims[key] = out
+			run = runSequential(p, order[0], order[1])
+			runs[order] = run
 		}
-		return out
-	}
-	for _, first := range []int{a.Thread, b.Thread} {
-		second := b.Thread
-		if first == b.Thread {
-			second = a.Thread
-		}
-		out := simFor(first, second)
-		if out.ambiguous {
-			continue
-		}
-		avc, aok := out.find(a.Thread, a.Index)
-		bvc, bok := out.find(b.Thread, b.Index)
-		if aok && bok && unorderedVCs(avc, bvc) {
+		avc, aok := run.clock(p, a)
+		bvc, bok := run.clock(p, b)
+		if aok && bok && !avc.HappensBefore(bvc) && !bvc.HappensBefore(avc) {
 			pair.Verdict = MustRace
-			pair.WitnessFirst = first
+			pair.WitnessFirst = order[0]
 			return pair
 		}
 	}
 	pair.Verdict = MayRace
 	return pair
 }
+
+// seqRun is one sequential witness schedule executed on the machine, as
+// a machine.Tracer: clocks[w][k] is the vector clock worker w's k-th data
+// access carried. A schedule that deadlocks keeps the accesses that
+// executed before it.
+type seqRun struct {
+	clocks [][]vclock.VC
+}
+
+// runSequential executes p under prog.SequentialPicker(first, second) on
+// a fresh machine with seed 0, no deterministic synchronization and no
+// detector. That is the run a MustRace witness replays with a detector
+// attached, so an unordered pair here reproduces as a race exception
+// there: this pair raises, or an earlier unordered pair stops the
+// machine first. Even a mutex released to several waiters wakes the
+// same one in both runs.
+func runSequential(p *prog.Program, first, second int) *seqRun {
+	r := &seqRun{clocks: make([][]vclock.VC, len(p.Threads))}
+	m := machine.New(machine.Config{Tracer: r, Picker: prog.SequentialPicker(first, second)})
+	root, _ := p.Build(m)
+	_ = m.Run(root) // a deadlock ends the schedule; the executed prefix stands
+	return r
+}
+
+// clock returns the clock access a carried in the run, if it executed.
+func (r *seqRun) clock(p *prog.Program, a Access) (vclock.VC, bool) {
+	k := 0 // a's ordinal among its worker's data accesses
+	for _, op := range p.Threads[a.Thread][:a.Index] {
+		if op.Kind == prog.Read || op.Kind == prog.Write {
+			k++
+		}
+	}
+	if k < len(r.clocks[a.Thread]) {
+		return r.clocks[a.Thread][k], true
+	}
+	return vclock.VC{}, false
+}
+
+// Access implements machine.Tracer. Worker w runs as spawn sequence
+// w+1; the root (sequence 0) accesses no data.
+func (r *seqRun) Access(t *machine.Thread, addr uint64, size int, write, shared bool) {
+	if w := t.Seq - 1; w >= 0 {
+		r.clocks[w] = append(r.clocks[w], t.VC.Copy())
+	}
+}
+
+// Sync implements machine.Tracer; the clocks already carry every edge.
+func (r *seqRun) Sync(*machine.Thread, machine.SyncEvent, uint64, int, int) {}
+
+// Work implements machine.Tracer.
+func (r *seqRun) Work(*machine.Thread, int) {}
 
 // orderedSequential reports whether, in the schedule that runs first's
 // whole thread before second's, first's access happens-before second's.

@@ -244,3 +244,31 @@ func TestReleaseAcquireOrdersOneDirection(t *testing.T) {
 		t.Fatalf("witness run: %v, want race exception", err)
 	}
 }
+
+// TestMultiWaiterReleaseMustRace: in both sequential schedules t0 sends
+// on the two channels inside its critical section, so t1 and t2 both
+// block on lock 0 and t0's unlock releases it to two waiters. The
+// machine picks the winner with its seeded policy; the witness check
+// runs the schedule on that same machine configuration, so it still
+// proves the unprotected write/write pair racy, and the witness replay
+// raises WAW.
+func TestMultiWaiterReleaseMustRace(t *testing.T) {
+	p := &prog.Program{Region: 8, Locks: 1, Chans: []int{1, 1}, Threads: [][]prog.Op{
+		{{Kind: prog.Lock, Lock: 0}, {Kind: prog.Send, Chan: 0}, {Kind: prog.Send, Chan: 1}, {Kind: prog.Unlock, Lock: 0}},
+		{{Kind: prog.Recv, Chan: 0}, {Kind: prog.Lock, Lock: 0}, {Kind: prog.Unlock, Lock: 0}, {Kind: prog.Write, Off: 0, Size: 8}},
+		{{Kind: prog.Recv, Chan: 1}, {Kind: prog.Lock, Lock: 0}, {Kind: prog.Unlock, Lock: 0}, {Kind: prog.Write, Off: 0, Size: 8}},
+	}}
+	rep := Analyze(p)
+	if rep.Verdict() != MustRace || len(rep.Pairs) != 1 {
+		t.Fatalf("verdict %v, want one MustRace pair: %v", rep.Verdict(), rep.Pairs)
+	}
+	first, second, ok := rep.Witness()
+	if !ok {
+		t.Fatal("no witness")
+	}
+	_, err := p.RunPicked(prog.SequentialPicker(first, second), oracle.New(oracle.AllRaces))
+	var re *machine.RaceError
+	if !errors.As(err, &re) || re.Kind != machine.WAW {
+		t.Fatalf("witness run (t%d first): %v, want a WAW race exception", first, err)
+	}
+}

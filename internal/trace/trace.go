@@ -51,29 +51,34 @@ type Recorder struct {
 var _ machine.Tracer = (*Recorder)(nil)
 
 // Access implements machine.Tracer.
-func (r *Recorder) Access(tid int, addr uint64, size int, write, shared bool, clock uint32) {
+func (r *Recorder) Access(t *machine.Thread, addr uint64, size int, write, shared bool) {
 	k := Read
 	if write {
 		k = Write
 	}
 	r.Trace.Events = append(r.Trace.Events, Event{
-		Kind: k, TID: uint8(tid), Size: uint8(size),
-		Shared: shared, Addr: addr, Clock: clock,
+		Kind: k, TID: uint8(t.ID), Size: uint8(size),
+		Shared: shared, Addr: addr, Clock: t.VC.Clock(t.ID),
 	})
 }
 
-// Sync implements machine.Tracer.
-func (r *Recorder) Sync(tid int, kind machine.SyncEvent, obj uint64) {
+// Sync implements machine.Tracer. The hardware simulator charges a
+// channel send as one synchronization operation, so the send is recorded
+// at its arrival and its completion event is dropped.
+func (r *Recorder) Sync(t *machine.Thread, kind machine.SyncEvent, obj uint64, pos, capacity int) {
+	if kind == machine.SyncChanSendDone {
+		return
+	}
 	r.Trace.Events = append(r.Trace.Events, Event{
-		Kind: Sync, TID: uint8(tid), SyncKind: kind, Addr: obj,
+		Kind: Sync, TID: uint8(t.ID), SyncKind: kind, Addr: obj,
 	})
 }
 
 // Work implements machine.Tracer. n units of computation are stored in
 // Addr (they have no address of their own).
-func (r *Recorder) Work(tid int, n int) {
+func (r *Recorder) Work(t *machine.Thread, n int) {
 	r.Trace.Events = append(r.Trace.Events, Event{
-		Kind: Work, TID: uint8(tid), Addr: uint64(n),
+		Kind: Work, TID: uint8(t.ID), Addr: uint64(n),
 	})
 }
 
