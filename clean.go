@@ -32,6 +32,13 @@
 //		t.Join(child)
 //	})
 //
+// To run a whole program once and get its outcome as a Report, call
+// RunWorkload for one of the benchmark stand-ins or RunProgram for a
+// program in the internal/prog IR (a litmus test, a generated program, a
+// lowered Go source file). Both share one body — build, run, counters,
+// output fingerprint, telemetry — which the CLIs and the detection
+// service call rather than building machines themselves.
+//
 // See examples/ for complete programs, cmd/cleanbench for the paper's
 // evaluation, and cmd/cleand for serving detection over HTTP (the api/v1
 // wire contract).
@@ -44,6 +51,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fasttrack"
 	"repro/internal/machine"
+	"repro/internal/prog"
 	"repro/internal/telemetry"
 	"repro/internal/tsanlite"
 	"repro/internal/vclock"
@@ -103,8 +111,8 @@ type (
 	// MetricsSnapshot is the serialized state of a Metrics registry.
 	MetricsSnapshot = telemetry.Snapshot
 	// RunReport is the schema-versioned machine-readable record of one
-	// run; RunWorkload fills Report.Telemetry with one when Config.Metrics
-	// is set.
+	// run; RunWorkload and RunProgram fill Report.Telemetry with one when
+	// Config.Metrics is set.
 	RunReport = telemetry.RunReport
 )
 
@@ -282,25 +290,29 @@ type Detector = machine.Detector
 
 // NewDetector instantiates the detector the configuration selects (nil
 // for DetectNone), for callers that build machines through entry points
-// taking an explicit detector — prog.RunPicked witness replays,
-// NewMachineWithDetector.
+// taking an explicit detector — explore's per-run detector factory,
+// prog.RunPicked witness replays, NewMachineWithDetector.
 func (c Config) NewDetector() Detector { return c.detector() }
 
 // NewMachineWithDetector builds a machine with a caller-supplied detector
 // instance, overriding cfg.Detection.
 func NewMachineWithDetector(cfg Config, det Detector) *Machine {
-	return machine.New(machine.Config{
-		Seed:       cfg.Seed,
-		DetSync:    cfg.DeterministicSync,
+	return machine.New(cfg.machineConfig(det))
+}
+
+func (c Config) machineConfig(det Detector) machine.Config {
+	return machine.Config{
+		Seed:       c.Seed,
+		DetSync:    c.DeterministicSync,
 		Detector:   det,
-		Layout:     cfg.layout(),
-		YieldEvery: cfg.YieldEvery,
-		MaxSteps:   cfg.MaxSteps,
-		Tracer:     cfg.Tracer,
-		Injector:   cfg.FaultInjector,
-		Metrics:    cfg.Metrics,
-		Timeline:   cfg.Timeline,
-	})
+		Layout:     c.layout(),
+		YieldEvery: c.YieldEvery,
+		MaxSteps:   c.MaxSteps,
+		Tracer:     c.Tracer,
+		Injector:   c.FaultInjector,
+		Metrics:    c.Metrics,
+		Timeline:   c.Timeline,
+	}
 }
 
 // WorkloadInfo describes one of the 26 benchmark stand-ins.
@@ -324,17 +336,20 @@ func Workloads() []WorkloadInfo {
 	return out
 }
 
-// Report is the outcome of RunWorkload.
+// Report is the outcome of RunWorkload or RunProgram.
 type Report struct {
 	// Err is nil for a completed execution, a *RaceError for a race
 	// exception, or a *DeadlockError.
 	Err error
 	// Stats are the machine counters.
 	Stats Stats
-	// OutputHash fingerprints the workload's output region (only for
-	// completed executions); under DeterministicSync it is identical
-	// across seeds.
+	// OutputHash fingerprints the output region — a workload's output
+	// buffer, a program's shared region — for completed executions;
+	// under DeterministicSync it is identical across seeds.
 	OutputHash uint64
+	// OutputAddr is the output region's address: subtract it from a race
+	// witness's address to get the offset a program variable lives at.
+	OutputAddr uint64
 	// FinalCounters are the threads' deterministic counters in spawn
 	// order.
 	FinalCounters []uint64
@@ -361,28 +376,69 @@ func RunWorkload(name, scale string, modified bool, cfg Config) (*Report, error)
 	if modified {
 		variant = workloads.Modified
 	}
+	id := telemetry.RunReport{Workload: name, Scale: sc.String(), Variant: variant.String()}
+	return run(cfg, nil, id, func(m *Machine) (func(*Thread), uint64, int) {
+		root, out := w.Build(m, sc, variant)
+		return root, out.Addr, out.Len
+	}), nil
+}
+
+// RunProgram builds and runs one program in the internal/prog IR — the
+// program twin of RunWorkload; its output region is the program's shared
+// region. A non-empty schedule replays the sequential composition that
+// runs those workers in order (prog.SequentialPicker, the static
+// analyzer's witness schedule) instead of the seeded scheduler; the
+// interleaving is then fixed, so Seed, DeterministicSync and YieldEvery
+// are ignored.
+func RunProgram(p *prog.Program, cfg Config, schedule ...int) (*Report, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	var pick func([]*Thread) int
+	if len(schedule) > 0 {
+		pick = prog.SequentialPicker(schedule...)
+		cfg.Seed, cfg.DeterministicSync, cfg.YieldEvery = 0, false, 0
+	}
+	return run(cfg, pick, telemetry.RunReport{Workload: "prog"}, func(m *Machine) (func(*Thread), uint64, int) {
+		root, base := p.Build(m)
+		return root, base, p.Region
+	}), nil
+}
+
+// run is the one body behind RunWorkload and RunProgram: build the
+// machine (driven by pick when non-nil), run it, read its counters and
+// output fingerprint, publish the detector's stats and, with
+// Config.Metrics set, file the telemetry report under id's names.
+func run(cfg Config, pick func([]*Thread) int, id telemetry.RunReport,
+	build func(*Machine) (root func(*Thread), out uint64, n int)) *Report {
 	det := cfg.detector()
-	m := NewMachineWithDetector(cfg, det)
-	root, out := w.Build(m, sc, variant)
+	mc := cfg.machineConfig(det)
+	mc.Picker = pick
+	m := machine.New(mc)
+	// The detector is unreachable once the report is filled: recycle its
+	// shadow pages so back-to-back runs (the service's steady state) serve
+	// from the pool instead of the garbage collector. Deferred, so a
+	// panicking run cannot leak the footprint gauges either.
+	defer m.ReleaseMetadata()
+	root, out, n := build(m)
 	start := time.Now()
 	runErr := m.Run(root)
 	rep := &Report{
 		Err:           runErr,
 		Stats:         m.Stats(),
+		OutputAddr:    out,
 		FinalCounters: m.FinalCounters(),
 		Elapsed:       time.Since(start),
 	}
 	if runErr == nil {
-		rep.OutputHash = m.HashMem(out.Addr, out.Len)
+		rep.OutputHash = m.HashMem(out, n)
 	}
 	if cd, ok := det.(*core.Detector); ok {
 		cd.Stats().PublishTo(cfg.Metrics)
 	}
 	if cfg.Metrics != nil {
 		tr := telemetry.NewRunReport()
-		tr.Workload = name
-		tr.Scale = sc.String()
-		tr.Variant = variant.String()
+		tr.Workload, tr.Scale, tr.Variant = id.Workload, id.Scale, id.Variant
 		tr.Detector = cfg.Detection.String()
 		tr.Seed = cfg.Seed
 		tr.DetSync = cfg.DeterministicSync
@@ -396,11 +452,7 @@ func RunWorkload(name, scale string, modified bool, cfg Config) (*Report, error)
 		tr.Metrics = cfg.Metrics.Snapshot()
 		rep.Telemetry = tr
 	}
-	// The detector is unreachable past this point: recycle its shadow
-	// pages so back-to-back workload runs (the service's steady state)
-	// serve from the pool instead of the garbage collector.
-	m.ReleaseMetadata()
-	return rep, nil
+	return rep
 }
 
 // String names the detector choice for reports and CLIs.

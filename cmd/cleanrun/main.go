@@ -1,12 +1,16 @@
-// Command cleanrun executes one benchmark stand-in on the simulated
-// machine under a chosen race detector and prints the outcome: a race
-// exception with its details, or the completed run's statistics and
-// output fingerprint.
+// Command cleanrun executes one benchmark stand-in, or one Go source file
+// lowered through the gofront front end, on the simulated machine under a
+// chosen race detector and prints the outcome: a race exception with its
+// details (mapped back to file:line:column for Go source), or the
+// completed run's statistics and output fingerprint. With -seeds N it
+// runs N consecutive seeds and prints an outcome census instead.
 //
 // Usage:
 //
 //	cleanrun -w dedup -variant unmodified        # racy run → race exception
 //	cleanrun -w fft -det clean -detsync -seed 3  # deterministic clean run
+//	cleanrun -go racy.go                         # run Go source → source-mapped witness
+//	cleanrun -go racy.go -seeds 50               # outcome census across 50 seeds
 //	cleanrun -w fft -faults thread-crash         # inject a deterministic fault
 //	cleanrun -w fft -timeline out.json           # Perfetto/chrome://tracing timeline
 //	cleanrun -w fft -report -                    # schema-versioned RunReport JSON
@@ -21,11 +25,13 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"sort"
 	"strings"
 
 	clean "repro"
 	apiv1 "repro/api/v1"
 	"repro/internal/faults"
+	"repro/internal/gofront"
 	"repro/internal/harness"
 	"repro/internal/predict"
 	"repro/internal/service"
@@ -37,11 +43,13 @@ func main() {
 	log.SetPrefix("cleanrun: ")
 	var (
 		name     = flag.String("w", "fft", "workload name (see -list)")
+		goFile   = flag.String("go", "", "run this Go source file, lowered through the gofront front end, instead of a workload")
 		scale    = flag.String("scale", "simsmall", "input scale: test, simsmall, simlarge, native")
 		variant  = flag.String("variant", "modified", "benchmark variant: modified (race-free) or unmodified")
 		det      = flag.String("det", "clean", "detector: none, clean, fasttrack, tsanlite or predict")
 		detsync  = flag.Bool("detsync", false, "enable Kendo deterministic synchronization")
 		seed     = flag.Int64("seed", 0, "scheduler seed")
+		seeds    = flag.Int("seeds", 1, "run this many consecutive seeds starting at -seed and print an outcome census")
 		list     = flag.Bool("list", false, "list workloads and exit")
 		diagnose = flag.Bool("diagnose", false, "on a race exception, rerun in monitor modes and list all findings (§3.1)")
 		maxSteps = flag.Uint64("maxsteps", 0, "scheduler-step budget; exhausting it raises a livelock error (0 = unbounded)")
@@ -63,6 +71,22 @@ func main() {
 	detection, err := clean.ParseDetection(*det)
 	if err != nil {
 		log.Fatal(err)
+	}
+	var gp *gofront.Program
+	if *goFile != "" {
+		if *faultStr != "" || *diagnose || *remote != "" || detection == clean.DetectPredict {
+			log.Fatal("-go supports detection runs only (no -faults, -diagnose, -remote, -det predict)")
+		}
+		if gp, err = gofront.Load(*goFile); err != nil {
+			log.Fatal(err) // every positioned diagnostic, one per line
+		}
+	}
+	switch {
+	case *seeds < 1:
+		log.Fatalf("-seeds %d: want at least 1", *seeds)
+	case *seeds > 1 && (*faultStr != "" || *diagnose || *remote != "" || detection == clean.DetectPredict ||
+		*timeline != "" || *report != ""):
+		log.Fatal("-seeds runs a census of plain runs (no -faults, -diagnose, -remote, -det predict, -timeline, -report)")
 	}
 
 	if *remote != "" {
@@ -91,6 +115,35 @@ func main() {
 		return
 	}
 
+	// run executes the target once: the lowered Go program or the workload.
+	run := func(cfg clean.Config) *clean.Report {
+		var rep *clean.Report
+		var err error
+		if gp != nil {
+			rep, err = clean.RunProgram(gp.Prog, cfg)
+		} else {
+			rep, err = clean.RunWorkload(*name, *scale, *variant == "modified", cfg)
+		}
+		if err != nil {
+			log.Fatal(err)
+		}
+		return rep
+	}
+	header := func() {
+		if gp != nil {
+			fmt.Print(gp.Summary())
+		} else {
+			fmt.Printf("workload:   %s (%s, %s)\n", *name, *scale, *variant)
+		}
+	}
+	// printRace renders a race exception, in source terms for Go source.
+	printRace := func(re *clean.RaceError, rep *clean.Report) {
+		fmt.Printf("\nRACE EXCEPTION: %v\n", re)
+		if gp != nil {
+			fmt.Print(gp.DescribeRace(re, rep.OutputAddr))
+		}
+	}
+
 	opts := []clean.Option{
 		clean.WithDetection(detection),
 		clean.WithSeed(*seed),
@@ -109,10 +162,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := clean.RunWorkload(*name, *scale, *variant == "modified", cfg)
-	if err != nil {
-		log.Fatal(err)
+	if *seeds > 1 {
+		header()
+		fmt.Printf("detector:   %s   deterministic sync: %v\n", *det, *detsync)
+		os.Exit(census(cfg, *seeds, run, printRace))
 	}
+	rep := run(cfg)
 	if *timeline != "" {
 		if err := writeTimeline(*timeline, tl); err != nil {
 			log.Fatal(err)
@@ -128,7 +183,7 @@ func main() {
 		}
 	}
 
-	fmt.Printf("workload:   %s (%s, %s)\n", *name, *scale, *variant)
+	header()
 	fmt.Printf("detector:   %s   deterministic sync: %v   seed: %d\n", *det, *detsync, *seed)
 	fmt.Printf("elapsed:    %v\n", rep.Elapsed)
 	s := rep.Stats
@@ -139,7 +194,7 @@ func main() {
 	var re *clean.RaceError
 	switch {
 	case errors.As(rep.Err, &re):
-		fmt.Printf("\nRACE EXCEPTION: %v\n", re)
+		printRace(re, rep)
 		fmt.Printf("  the execution was stopped at the racing access;\n")
 		fmt.Printf("  SFR isolation and write-atomicity were preserved up to this point\n")
 		if *diagnose {
@@ -184,6 +239,47 @@ func main() {
 		fmt.Printf("output:     %#016x (deterministic under -detsync)\n", rep.OutputHash)
 		fmt.Printf("completed without a race exception\n")
 	}
+}
+
+// census runs n consecutive seeds from cfg.Seed, tallies their outcomes
+// and renders the first race. It returns the exit status: 2 when some
+// seed raced, 3 when some other seed failed, 0 otherwise.
+func census(cfg clean.Config, n int, run func(clean.Config) *clean.Report, printRace func(*clean.RaceError, *clean.Report)) int {
+	fmt.Printf("census:     %d seeds starting at %d\n", n, cfg.Seed)
+	tally := map[string]int{}
+	var first *clean.RaceError
+	var firstRep *clean.Report
+	var firstSeed int64
+	status := 0
+	for i := 0; i < n; i, cfg.Seed = i+1, cfg.Seed+1 {
+		rep := run(cfg)
+		outcome := clean.OutcomeOf(rep.Err)
+		var re *clean.RaceError
+		switch {
+		case errors.As(rep.Err, &re):
+			outcome = re.Kind.String() + " exception"
+			if first == nil {
+				first, firstRep, firstSeed = re, rep, cfg.Seed
+			}
+		case rep.Err != nil:
+			status = 3
+		}
+		tally[outcome]++
+	}
+	outcomes := make([]string, 0, len(tally))
+	for o := range tally {
+		outcomes = append(outcomes, o)
+	}
+	sort.Strings(outcomes)
+	for _, o := range outcomes {
+		fmt.Printf("  %s × %d\n", o, tally[o])
+	}
+	if first == nil {
+		return status
+	}
+	fmt.Printf("first race (seed %d):\n", firstSeed)
+	printRace(first, firstRep)
+	return 2
 }
 
 // runRemote executes the workload on a cleand server through the v1

@@ -21,7 +21,6 @@ import (
 	"repro/internal/hwsim"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
-	"repro/internal/workloads"
 )
 
 func main() {
@@ -61,22 +60,17 @@ func main() {
 		}
 		f.Close()
 	} else {
-		w, ok := workloads.ByName(*name)
-		if !ok {
-			log.Fatalf("unknown workload %q", *name)
-		}
-		sc, err := workloads.ParseScale(*scale)
-		if err != nil {
-			log.Fatal(err)
-		}
-		m, err := clean.New(clean.WithDetection(clean.DetectNone), clean.WithSeed(*seed),
+		cfg, err := clean.NewConfig(clean.WithDetection(clean.DetectNone), clean.WithSeed(*seed),
 			clean.WithYieldEvery(32), clean.WithTracer(rec))
 		if err != nil {
 			log.Fatal(err)
 		}
-		root, _ := w.Build(m, sc, workloads.Modified)
-		if err := m.Run(root); err != nil {
-			log.Fatalf("tracing run failed: %v", err)
+		rep, err := clean.RunWorkload(*name, *scale, true, cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if rep.Err != nil {
+			log.Fatalf("tracing run failed: %v", rep.Err)
 		}
 	}
 	if *save != "" {

@@ -1,10 +1,12 @@
 // Command cleanvet runs the static race analyzer (internal/staticrace)
 // over a program in the internal/prog IR — a named litmus program, a
-// fuzzer-generated one, or one loaded from a file — and prints every
-// conflicting access pair with its lockset and verdict. With -confirm it
-// backs the verdict dynamically: exploring the interleaving space for a
-// RaceFree claim, replaying the recorded witness schedule for a MustRace
-// one.
+// fuzzer-generated one, one loaded from a file, or a Go source file
+// lowered through the gofront front end — and prints every conflicting
+// access pair with its lockset and verdict. With -confirm it backs the
+// verdict dynamically: exploring the interleaving space for a RaceFree or
+// MayRace claim, replaying the recorded witness schedule for a MustRace
+// one. For Go source every pair, and a confirmed witness, is mapped back
+// to file:line:column.
 //
 // Usage:
 //
@@ -12,7 +14,8 @@
 //	cleanvet -litmus locked-counter -confirm   # race-freedom proof, checked
 //	cleanvet -gen -seed 7 -threads 3 -ops 8    # vet a generated program
 //	cleanvet -f prog.txt                       # vet a program file (- = stdin)
-//	cleanvet -go racy.go                       # vet real Go source (gofront)
+//	cleanvet -go racy.go -confirm              # vet real Go source (gofront)
+//	cleanvet -go racy.go -print                # print its lowering in prog text form
 //	cleanvet -litmus waw -dynamic              # predictive: record one run, reorder, certify
 //	cleanvet -list                             # show the litmus registry
 //
@@ -61,7 +64,7 @@ func main() {
 		maxruns  = flag.Int("maxruns", 200000, "interleaving budget for -confirm exploration")
 		dynamic  = flag.Bool("dynamic", false, "predict races from one recorded run (internal/predict) instead of static analysis")
 		maxsteps = flag.Uint64("maxsteps", 0, "scheduler-step budget for the -dynamic recording (0 = predict default)")
-		show     = flag.Bool("print", false, "print the program source before the report")
+		show     = flag.Bool("print", false, "print the program in prog text form and exit (gofront notes go to stderr)")
 		list     = flag.Bool("list", false, "list litmus programs and exit")
 		jsonOut  = flag.String("json", "", "write the analysis as RunReport JSON to this file (- for stdout)")
 	)
@@ -82,8 +85,15 @@ func main() {
 		log.Fatalf("invalid program: %v", err)
 	}
 	if *show {
+		// Nothing but the program text, so the output round-trips through
+		// `cleanvet -f -` and diffs against the gofront goldens.
+		if gp != nil {
+			for _, n := range gp.Notes {
+				fmt.Fprintf(os.Stderr, "note: %s\n", n)
+			}
+		}
 		fmt.Print(p)
-		fmt.Println()
+		return
 	}
 
 	if *dynamic {
@@ -95,7 +105,7 @@ func main() {
 	}
 
 	rep := staticrace.Analyze(p)
-	printReport(desc, p, rep)
+	printReport(desc, p, gp, rep)
 	if *jsonOut != "" {
 		if err := writeJSON(*jsonOut, desc, p, rep); err != nil {
 			log.Fatal(err)
@@ -103,7 +113,7 @@ func main() {
 	}
 
 	verdict := rep.Verdict()
-	if *confirm && !confirmVerdict(p, rep, *maxruns) {
+	if *confirm && !confirmVerdict(p, gp, rep, *maxruns) {
 		os.Exit(1)
 	}
 	switch verdict {
@@ -131,14 +141,7 @@ func loadProgram(litmus, file, goFile string, gen bool, cfg progen.Config) (*pro
 	case goFile != "":
 		gp, err := gofront.Load(goFile)
 		if err != nil {
-			var de *gofront.DiagError
-			if errors.As(err, &de) {
-				for _, d := range de.Diags {
-					fmt.Fprintf(os.Stderr, "%s\n", d)
-				}
-				log.Fatalf("%s: %d unsupported construct(s)", goFile, len(de.Diags))
-			}
-			log.Fatal(err)
+			log.Fatal(err) // every positioned diagnostic, one per line
 		}
 		return gp.Prog, fmt.Sprintf("go %s", goFile), gp
 	case litmus != "":
@@ -171,16 +174,26 @@ func loadProgram(litmus, file, goFile string, gen bool, cfg progen.Config) (*pro
 	}
 }
 
-func printReport(desc string, p *prog.Program, rep *staticrace.Report) {
-	fmt.Printf("program:   %s\n", desc)
+// printReport prints the analysis; for Go source (gp non-nil) the header
+// is the lowering's summary and every pair names its two source accesses.
+func printReport(desc string, p *prog.Program, gp *gofront.Program, rep *staticrace.Report) {
+	if gp != nil {
+		fmt.Print(gp.Summary())
+	} else {
+		fmt.Printf("program:   %s\n", desc)
+	}
 	fmt.Printf("shape:     %d worker threads, %d ops, %d-byte region, %d locks\n",
 		len(p.Threads), p.NumOps(), p.Region, p.Locks)
 	fmt.Printf("accesses:  %d\n", len(rep.Accesses))
 	rf, may, must := rep.Counts()
-	fmt.Printf("pairs:     %d conflicting (%d MustRace, %d MayRace, %d lock-protected)\n",
+	fmt.Printf("pairs:     %d conflicting (%d MustRace, %d MayRace, %d protected/ordered)\n",
 		rf+may+must, must, may, rf)
 	for _, pair := range rep.Pairs {
 		fmt.Printf("  %v\n", pair)
+		if gp != nil {
+			fmt.Printf("    %s\n    %s\n",
+				gp.DescribeAccess(pair.A.Thread, pair.A.Index), gp.DescribeAccess(pair.B.Thread, pair.B.Index))
+		}
 	}
 	fmt.Printf("verdict:   %v\n", rep.Verdict())
 }
@@ -200,24 +213,36 @@ func writeJSON(path, desc string, p *prog.Program, rep *staticrace.Report) error
 	return os.WriteFile(path, data, 0o644)
 }
 
-// confirmVerdict checks the static verdict against the machine and
-// reports whether they agree. RaceFree is confirmed by (bounded)
-// exploration finding no exception; MustRace by the witness schedule
-// raising one; MayRace by exploration either way — both outcomes are
-// consistent with the middle verdict.
-func confirmVerdict(p *prog.Program, rep *staticrace.Report, maxruns int) bool {
+// confirmVerdict checks the static verdict against the machine, under the
+// reference oracle, and reports whether they agree. RaceFree is confirmed
+// by (bounded) exploration finding no exception; MustRace by the witness
+// schedule raising one, rendered in source terms for Go source; MayRace
+// by exploration either way — both outcomes are consistent with the
+// middle verdict.
+func confirmVerdict(p *prog.Program, gp *gofront.Program, rep *staticrace.Report, maxruns int) bool {
 	oracleDet := func() machine.Detector { return oracle.New(oracle.AllRaces) }
 	switch rep.Verdict() {
 	case staticrace.MustRace:
 		first, second, _ := rep.Witness()
-		_, err := p.RunPicked(prog.SequentialPicker(first, second), oracleDet())
+		name := func(w int) string {
+			if gp != nil {
+				return gp.Workers[w].Name
+			}
+			return fmt.Sprintf("t%d", w)
+		}
+		m := machine.New(machine.Config{Detector: oracleDet(), Picker: prog.SequentialPicker(first, second)})
+		root, base := p.Build(m)
+		err := m.Run(root)
 		var re *machine.RaceError
 		if !errors.As(err, &re) {
-			fmt.Printf("confirm:   FAILED — witness schedule (t%d then t%d) raised %v, want a race exception\n",
-				first, second, err)
+			fmt.Printf("confirm:   FAILED — witness schedule (%s then %s) raised %v, want a race exception\n",
+				name(first), name(second), err)
 			return false
 		}
-		fmt.Printf("confirm:   witness schedule (t%d then t%d) raised %v\n", first, second, re)
+		fmt.Printf("confirm:   witness schedule (%s then %s) raised %v\n", name(first), name(second), re)
+		if gp != nil {
+			fmt.Print(gp.DescribeRace(re, base))
+		}
 		return true
 	default:
 		res := explore.RunProgram(explore.Options{Detector: oracleDet, MaxRuns: maxruns}, p, nil)

@@ -24,7 +24,6 @@ import (
 
 	clean "repro"
 	"repro/internal/gofront"
-	"repro/internal/machine"
 	"repro/internal/staticrace"
 )
 
@@ -51,19 +50,20 @@ func main() {
 		log.Fatal(err)
 	}
 	var exceptions, completions int
-	for seed := int64(0); seed < 60; seed++ {
-		m := machine.New(machine.Config{Seed: seed, Detector: cfg.NewDetector()})
-		root, _ := p.Prog.Build(m)
-		runErr := m.Run(root)
-		var re *machine.RaceError
+	for cfg.Seed = 0; cfg.Seed < 60; cfg.Seed++ {
+		rep, err := clean.RunProgram(p.Prog, cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		var re *clean.RaceError
 		switch {
-		case errors.As(runErr, &re):
-			if re.Kind == machine.WAR {
+		case errors.As(rep.Err, &re):
+			if re.Kind == clean.WAR {
 				log.Fatal("CLEAN must never raise WAR exceptions")
 			}
 			exceptions++
-		case runErr != nil:
-			log.Fatal(runErr)
+		case rep.Err != nil:
+			log.Fatal(rep.Err)
 		default:
 			completions++
 		}

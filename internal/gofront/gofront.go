@@ -50,6 +50,7 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/machine"
 	"repro/internal/prog"
 )
 
@@ -151,6 +152,73 @@ func (p *Program) DescribeAccess(thread, index int) string {
 	return fmt.Sprintf("%s (%s)", desc, pos)
 }
 
+// DescribeRace renders a machine race exception in source terms, one
+// indented line each: the shared variable with its declaration site, then
+// the racing and the earlier worker with the source positions where each
+// touches that variable. base is the address the shared region was built
+// at (prog.Program.Build's result, clean.Report.OutputAddr).
+func (p *Program) DescribeRace(re *machine.RaceError, base uint64) string {
+	off := re.Addr - base
+	v := p.VarAt(off, re.Size)
+	if v == nil {
+		return fmt.Sprintf("  variable:  <unmapped offset %d>\n", off)
+	}
+	return fmt.Sprintf("  variable:  %s (declared at %s)\n  racing:    %s\n  earlier:   %s\n",
+		v.Name, v.Pos, p.accessSites(re.TID-1, v), p.accessSites(re.PrevTID-1, v))
+}
+
+// accessSites lists where worker w touches v. A race witness carries the
+// address, not the op index, so every touching site in that worker is
+// listed; workers are short, so this is precise in practice. Machine
+// thread w+1 is worker w (thread 0 is the root).
+func (p *Program) accessSites(w int, v *Var) string {
+	if w < 0 || w >= len(p.Workers) {
+		return fmt.Sprintf("machine thread %d (root)", w+1)
+	}
+	var sites []string
+	seen := map[string]bool{}
+	for i, op := range p.Prog.Threads[w] {
+		if op.Kind != prog.Read && op.Kind != prog.Write {
+			continue
+		}
+		if op.Off >= v.Off+uint64(v.Size) || v.Off >= op.Off+uint64(op.Size) {
+			continue
+		}
+		pos, desc := p.OpAt(w, i)
+		if s := fmt.Sprintf("%s (%s)", pos, desc); !seen[s] {
+			seen[s] = true
+			sites = append(sites, s)
+		}
+	}
+	if len(sites) == 0 {
+		return p.Workers[w].Name
+	}
+	return fmt.Sprintf("%s at %s", p.Workers[w].Name, strings.Join(sites, "; "))
+}
+
+// Summary renders the lowering for a report header: the source file, the
+// shared variables with the lock and channel counts, the workers, and
+// every note.
+func (p *Program) Summary() string {
+	var b strings.Builder
+	vars := make([]string, len(p.Vars))
+	for i, v := range p.Vars {
+		vars[i] = v.Name
+	}
+	workers := make([]string, len(p.Workers))
+	for i, w := range p.Workers {
+		workers[i] = w.Name
+	}
+	fmt.Fprintf(&b, "source:    %s\n", p.File)
+	fmt.Fprintf(&b, "shared:    %d variable(s) [%s], %d lock(s), %d channel(s)\n",
+		len(p.Vars), strings.Join(vars, ", "), len(p.Locks), len(p.Chans))
+	fmt.Fprintf(&b, "workers:   %s\n", strings.Join(workers, ", "))
+	for _, n := range p.Notes {
+		fmt.Fprintf(&b, "note:      %s\n", n)
+	}
+	return b.String()
+}
+
 // Load parses, type-checks, and lowers one Go source file.
 func Load(path string) (*Program, error) {
 	src, err := os.ReadFile(path)
@@ -240,9 +308,11 @@ type front struct {
 	mainLocals map[*types.Var]bool
 	captured   map[*types.Var]bool
 
-	// workers and threads accumulate the lowered program in parallel.
+	// workers and threads accumulate the lowered program in parallel;
+	// ops counts every op emitted so far, against maxOps.
 	workers []*Worker
 	threads [][]prog.Op
+	ops     int
 }
 
 func (f *front) errorf(pos token.Pos, format string, args ...interface{}) {

@@ -36,7 +36,7 @@ var corpusTruth = map[string]struct {
 	"wgcounter":      {staticrace.MustRace, true},
 }
 
-func corpusFiles(t *testing.T) []string {
+func corpusFiles(t testing.TB) []string {
 	t.Helper()
 	files, err := filepath.Glob(filepath.Join(corpusDir, "*.go"))
 	if err != nil || len(files) == 0 {
@@ -79,8 +79,8 @@ func TestGoldenLowerings(t *testing.T) {
 }
 
 // TestGoldenRoundTrip: every golden lowering survives the IR's
-// String/Parse round trip, so cleango lower output is valid cleanvet
-// input.
+// String/Parse round trip, so `cleanvet -go f -print` output is valid
+// `cleanvet -f` input.
 func TestGoldenRoundTrip(t *testing.T) {
 	for _, f := range corpusFiles(t) {
 		p, err := Load(f)
@@ -273,6 +273,16 @@ func main() {
 	go func() { s = "a" }()
 	go func() { s = "b" }()
 }`, "unsupported type"},
+		{"nested-loops", nestedLoops, "more than 65536 ops"},
+		{"inline-blowup", `package main
+var x int
+func a() { x++; x++; x++; x++ }
+func b() { a(); a(); a(); a(); a(); a(); a(); a() }
+func c() { b(); b(); b(); b(); b(); b(); b(); b() }
+func d() { c(); c(); c(); c(); c(); c(); c(); c() }
+func e() { d(); d(); d(); d(); d(); d(); d(); d() }
+func f() { e(); e(); e(); e(); e(); e(); e(); e() }
+func main() { go f() }`, "more than 65536 ops"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -295,6 +305,51 @@ func main() {
 			}
 		})
 	}
+}
+
+// nestedLoops would lower to 64⁴ × 2 ops: four nested unrolled loops
+// around one read and one write. The op budget stops it at the first op
+// past the limit.
+const nestedLoops = `package main
+
+var x int
+
+func main() {
+	go func() {
+		for i := 0; i < 64; i++ {
+			for j := 0; j < 64; j++ {
+				for k := 0; k < 64; k++ {
+					for l := 0; l < 64; l++ {
+						x = x + 1
+					}
+				}
+			}
+		}
+	}()
+}
+`
+
+// FuzzLoadSource: the front end lowers arbitrary source or returns an
+// error — it never panics — and every program it does lower is a valid
+// IR program.
+func FuzzLoadSource(f *testing.F) {
+	for _, file := range corpusFiles(f) {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(src)
+	}
+	f.Add([]byte(nestedLoops))
+	f.Fuzz(func(t *testing.T, src []byte) {
+		p, err := LoadSource("fuzz.go", src)
+		if err != nil {
+			return
+		}
+		if err := p.Prog.Validate(); err != nil {
+			t.Fatalf("lowering is not a valid program: %v\n%s", err, p.Prog)
+		}
+	})
 }
 
 // TestCapturedLocalIsShared: a main local captured by a goroutine

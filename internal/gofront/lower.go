@@ -424,7 +424,19 @@ type deferredOp struct {
 	desc string
 }
 
+// maxOps bounds the ops one file lowers to, across every worker. Loop
+// unrolling and inlining multiply a short source into many ops — four
+// nested 64-trip loops would reach 33.5M — and sources arrive untrusted;
+// the largest corpus program lowers to 19.
+const maxOps = 1 << 16
+
 func (l *lowerer) emit(op prog.Op, pos token.Pos, desc string) {
+	if l.f.ops++; l.f.ops > maxOps {
+		if l.f.ops == maxOps+1 {
+			l.f.errorf(pos, "program lowers to more than %d ops (loops unroll and calls inline); shrink the trip counts", maxOps)
+		}
+		return
+	}
 	l.ops = append(l.ops, op)
 	l.w.OpPos = append(l.w.OpPos, l.f.fset.Position(pos))
 	l.w.OpDesc = append(l.w.OpDesc, desc)
@@ -450,6 +462,9 @@ func (l *lowerer) block(stmts []ast.Stmt) {
 
 func (l *lowerer) stmt(s ast.Stmt) {
 	f := l.f
+	if f.ops > maxOps {
+		return // over budget: the diagnostic is filed, stop walking
+	}
 	switch s := s.(type) {
 	case *ast.EmptyStmt:
 	case *ast.BlockStmt:

@@ -98,19 +98,29 @@ func (p *Program) NumOps() int {
 	return n
 }
 
-// Validate checks that the program is well-formed: positive region, legal
-// access ranges and sizes, lock indices in range, no acquire of a held
-// lock, releases only of held locks, and every lock released by thread
-// end. A valid program never faults the machine; it may still deadlock if
-// workers acquire multiple locks in conflicting orders (the generator's
-// id-ordered discipline rules that out, hand-written programs must mind
-// it themselves).
+// MaxRegion and MaxLocks bound a program's shared region (bytes) and its
+// mutex count. Every run pays for both — the region is allocated and
+// shadowed, each lock is a machine object — and programs arrive as
+// untrusted text, so Validate rejects anything larger. In-repo programs
+// use at most a 64-byte region and 3 locks.
+const (
+	MaxRegion = 1 << 20
+	MaxLocks  = 4096
+)
+
+// Validate checks that the program is well-formed: a region of 1 to
+// MaxRegion bytes, at most MaxLocks locks, legal access ranges and sizes,
+// lock indices in range, no acquire of a held lock, releases only of held
+// locks, and every lock released by thread end. A valid program never
+// faults the machine; it may still deadlock if workers acquire multiple
+// locks in conflicting orders (the generator's id-ordered discipline
+// rules that out, hand-written programs must mind it themselves).
 func (p *Program) Validate() error {
-	if p.Region < 1 {
-		return fmt.Errorf("prog: region size %d < 1", p.Region)
+	if p.Region < 1 || p.Region > MaxRegion {
+		return fmt.Errorf("prog: region size %d outside [1,%d]", p.Region, MaxRegion)
 	}
-	if p.Locks < 0 {
-		return fmt.Errorf("prog: negative lock count %d", p.Locks)
+	if p.Locks < 0 || p.Locks > MaxLocks {
+		return fmt.Errorf("prog: lock count %d outside [0,%d]", p.Locks, MaxLocks)
 	}
 	for c, capacity := range p.Chans {
 		if capacity < 0 {

@@ -22,6 +22,8 @@ func TestValidateCatchesMalformedPrograms(t *testing.T) {
 		{"unlock not held", Program{Region: 8, Locks: 1, Threads: [][]Op{{{Kind: Unlock, Lock: 0}}}}},
 		{"unbalanced", Program{Region: 8, Locks: 1, Threads: [][]Op{{{Kind: Lock, Lock: 0}}}}},
 		{"zero work", Program{Region: 8, Threads: [][]Op{{{Kind: Work, Work: 0}}}}},
+		{"region over cap", Program{Region: MaxRegion + 1, Threads: [][]Op{{}}}},
+		{"locks over cap", Program{Region: 8, Locks: MaxLocks + 1, Threads: [][]Op{{}}}},
 	}
 	for _, c := range cases {
 		if err := c.p.Validate(); err == nil {
@@ -64,6 +66,8 @@ func TestParseRejectsGarbage(t *testing.T) {
 		"region 8\nlocks 0\nthread\nfrob 1\n",    // unknown directive
 		"locks 0\nthread\nwork 1\n",              // missing region
 		"region 8\nlocks 0\nthread\nwrite 4 8\n", // fails Validate
+		"region 134217728\nlocks 0\nthread\nwrite 0 8\n",
+		"region 8\nlocks 4194304\nthread\nwrite 0 8\n",
 	}
 	for i, text := range bad {
 		if _, err := Parse(strings.NewReader(text)); err == nil {
@@ -122,4 +126,28 @@ func TestRunPickedMatchesBuild(t *testing.T) {
 	if _, err := lit.P.RunPicked(SequentialPicker(0, 1), nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzParse: Parse never panics on arbitrary text, and an accepted
+// program's String form re-parses to the identical text.
+func FuzzParse(f *testing.F) {
+	for _, l := range Litmuses() {
+		f.Add(l.P.String())
+	}
+	f.Add("region 8\nlocks 1\nchan 0\nthread\n  lock 0\n  send 0\n  unlock 0\nthread\n  recv 0 # c\n  work 3\n")
+	f.Add("region 134217728\nlocks 0\nthread\nwrite 0 8\n")
+	f.Fuzz(func(t *testing.T, text string) {
+		p, err := Parse(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		canon := p.String()
+		q, err := Parse(strings.NewReader(canon))
+		if err != nil {
+			t.Fatalf("accepted program's String form does not re-parse: %v\n%s", err, canon)
+		}
+		if got := q.String(); got != canon {
+			t.Fatalf("round trip drifted:\n%s\nvs\n%s", canon, got)
+		}
+	})
 }

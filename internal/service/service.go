@@ -42,14 +42,12 @@ import (
 	"repro/internal/faults"
 	"repro/internal/gofront"
 	"repro/internal/harness"
-	"repro/internal/machine"
 	"repro/internal/predict"
 	"repro/internal/prog"
 	"repro/internal/shadow"
 	"repro/internal/staticrace"
 	"repro/internal/store"
 	"repro/internal/telemetry"
-	"repro/internal/vclock"
 )
 
 // Config sizes the server.
@@ -433,7 +431,7 @@ func (s *Server) CreateSession(cfg apiv1.SessionConfig) (*apiv1.Session, error) 
 	if err != nil {
 		return nil, &BadRequestError{Err: err}
 	}
-	if _, err := clean.NewConfig(s.runOptions(cfg, det, cfg.Seed, nil, s.effMaxSteps(cfg, 0))...); err != nil {
+	if _, err := clean.NewConfig(s.runOptions(cfg, det, cfg.Seed, s.effMaxSteps(cfg, 0))...); err != nil {
 		return nil, &BadRequestError{Err: err}
 	}
 
@@ -1036,15 +1034,13 @@ func deadlineResult(j *job, seed int64) apiv1.RunResult {
 func (s *Server) runJob(j *job) []apiv1.RunResult {
 	maxSteps := s.effMaxSteps(j.sess.cfg, j.spec.MaxSteps)
 	det := s.effDetection(j)
-	if len(j.spec.Schedule) > 0 {
-		if j.expired() {
-			s.count("service.jobs_deadline_exceeded")
-			return []apiv1.RunResult{deadlineResult(j, 0)}
-		}
-		return []apiv1.RunResult{s.runScheduled(j.sess, det, j.prog, j.spec.Schedule, maxSteps)}
-	}
 	seeds := j.spec.Seeds
-	if len(seeds) == 0 {
+	switch {
+	case len(j.spec.Schedule) > 0:
+		// The schedule fixes the interleaving: one run, reported without
+		// a seed.
+		seeds = []int64{0}
+	case len(seeds) == 0:
 		seeds = []int64{j.sess.cfg.Seed}
 	}
 	par := s.cfg.RunParallelism
@@ -1053,27 +1049,28 @@ func (s *Server) runJob(j *job) []apiv1.RunResult {
 	}
 	// The PR-4 experiment-engine pool fans the independent per-seed runs
 	// out; each run builds its own machine, so they share nothing.
-	expired := false
 	results := harness.ForEachIndexed(par, len(seeds), func(i int) apiv1.RunResult {
-		if j.expired() {
-			expired = true
+		switch {
+		case j.expired():
 			return deadlineResult(j, seeds[i])
-		}
-		if j.prog != nil {
-			if det == clean.DetectPredict {
-				return s.runPredict(j.prog, seeds[i], maxSteps)
+		case det == clean.DetectPredict && len(j.spec.Schedule) == 0:
+			if j.prog == nil {
+				// JobSpec.Validate rejects predict+workload at submission;
+				// this catches sessions opened in predict mode.
+				return errorResult(seeds[i], errors.New("predict mode needs a program-backed job (program, litmus or go_source)"))
 			}
-			return s.runProgram(j.sess, det, j.prog, seeds[i], maxSteps)
+			return s.runPredict(j.prog, seeds[i], maxSteps)
+		default:
+			// A predict session's scheduled replay runs here too, under
+			// CLEAN, the detector predictions certify with.
+			return s.run(j, det, seeds[i], maxSteps)
 		}
-		if det == clean.DetectPredict {
-			// JobSpec.Validate rejects predict+workload at submission;
-			// this catches sessions opened in predict mode.
-			return errorResult(seeds[i], errors.New("predict mode needs a program-backed job (program, litmus or go_source)"))
-		}
-		return s.runWorkload(j.sess, det, j.spec.Workload, seeds[i], maxSteps)
 	})
-	if expired {
-		s.count("service.jobs_deadline_exceeded")
+	for _, r := range results {
+		if r.Outcome == apiv1.OutcomeDeadline {
+			s.count("service.jobs_deadline_exceeded")
+			break
+		}
 	}
 	s.metricsMu.Lock()
 	s.metrics.Counter("service.runs_total").Add(uint64(len(results)))
@@ -1108,8 +1105,9 @@ func (s *Server) effMaxSteps(sc apiv1.SessionConfig, jobMax uint64) uint64 {
 // runOptions translates a session config onto the facade's functional
 // options — the same constructors local callers use, so a remote run is
 // the same run. maxSteps arrives pre-resolved (effMaxSteps) so per-job
-// overrides flow through unchanged.
-func (s *Server) runOptions(sc apiv1.SessionConfig, det clean.Detection, seed int64, reg *clean.Metrics, maxSteps uint64) []clean.Option {
+// overrides flow through unchanged. A metric-enabled session gets a fresh
+// registry per call: the registry is single-threaded and runs fan out.
+func (s *Server) runOptions(sc apiv1.SessionConfig, det clean.Detection, seed int64, maxSteps uint64) []clean.Option {
 	opts := []clean.Option{
 		clean.WithDetection(det),
 		clean.WithSeed(seed),
@@ -1125,81 +1123,58 @@ func (s *Server) runOptions(sc apiv1.SessionConfig, det clean.Detection, seed in
 	if sc.DisableMultibyteOpt {
 		opts = append(opts, clean.WithoutMultibyteOpt())
 	}
-	if reg != nil {
-		opts = append(opts, clean.WithMetrics(reg))
+	if sc.Metrics {
+		opts = append(opts, clean.WithMetrics(clean.NewMetrics()))
 	}
 	return opts
-}
-
-// sessionRegistry returns a fresh per-run registry for metric-enabled
-// sessions, nil otherwise. Each run gets its own: the registry is
-// single-threaded and runs fan out.
-func sessionRegistry(sc apiv1.SessionConfig) *clean.Metrics {
-	if !sc.Metrics {
-		return nil
-	}
-	return clean.NewMetrics()
 }
 
 func errorResult(seed int64, err error) apiv1.RunResult {
 	return apiv1.RunResult{Seed: seed, Outcome: apiv1.OutcomeError, Error: err.Error()}
 }
 
-// runProgram runs a program job once under the given seed.
-func (s *Server) runProgram(sess *session, det clean.Detection, p *prog.Program, seed int64, maxSteps uint64) apiv1.RunResult {
-	reg := sessionRegistry(sess.cfg)
-	cfg, err := clean.NewConfig(s.runOptions(sess.cfg, det, seed, reg, maxSteps)...)
+// run is the one detection path: the job's program (replayed under its
+// schedule, if any) or workload, run once through the facade under the
+// session's options and converted into the v1 result.
+func (s *Server) run(j *job, det clean.Detection, seed int64, maxSteps uint64) apiv1.RunResult {
+	cfg, err := clean.NewConfig(s.runOptions(j.sess.cfg, det, seed, maxSteps)...)
 	if err != nil {
 		return errorResult(seed, err)
 	}
-	m := clean.NewMachine(cfg)
-	// Recycle the detector's shadow pages once the result is extracted
-	// (deferred so a contained worker panic cannot leak the footprint
-	// gauges): this keeps the soak's shadow.mapped_pages curve flat.
-	defer m.ReleaseMetadata()
-	root, base := p.Build(m)
-	start := time.Now()
-	runErr := m.Run(root)
+	var rep *clean.Report
+	if j.prog != nil {
+		rep, err = clean.RunProgram(j.prog, cfg, j.spec.Schedule...)
+	} else {
+		w := j.spec.Workload
+		scale := w.Scale
+		if scale == "" {
+			scale = "test"
+		}
+		rep, err = clean.RunWorkload(w.Name, scale, w.Variant == "modified", cfg)
+	}
+	if err != nil {
+		return errorResult(seed, err)
+	}
 	res := apiv1.RunResult{
 		Seed:           seed,
-		Outcome:        clean.OutcomeOf(runErr),
-		FinalCounters:  m.FinalCounters(),
-		ElapsedSeconds: time.Since(start).Seconds(),
+		Outcome:        clean.OutcomeOf(rep.Err),
+		FinalCounters:  rep.FinalCounters,
+		ElapsedSeconds: rep.Elapsed.Seconds(),
 	}
-	finishProgramResult(&res, m, base, p.Region, runErr, reg, sess, seed)
-	return res
-}
-
-// runScheduled replays a program under the sequential-composition
-// schedule — the static analyzer's witness-replay entry point. The
-// schedule fully determines the interleaving, so the result carries no
-// seed and no registry (the scheduler never consults either).
-func (s *Server) runScheduled(sess *session, det clean.Detection, p *prog.Program, schedule []int, maxSteps uint64) apiv1.RunResult {
-	cfg, err := clean.NewConfig(s.runOptions(sess.cfg, det, sess.cfg.Seed, nil, maxSteps)...)
-	if err != nil {
-		return errorResult(0, err)
+	if rep.Err != nil {
+		res.Error = rep.Err.Error()
+		res.Witness = witnessOf(rep.Err)
+	} else {
+		res.DeterminismHash = telemetry.FormatHash(rep.OutputHash)
 	}
-	m := machine.New(machine.Config{
-		Detector: cfg.NewDetector(),
-		Picker:   prog.SequentialPicker(schedule...),
-		Layout:   layoutOf(sess.cfg),
-		MaxSteps: maxSteps,
-	})
-	defer m.ReleaseMetadata()
-	root, base := p.Build(m)
-	start := time.Now()
-	runErr := m.Run(root)
-	res := apiv1.RunResult{
-		Outcome:        clean.OutcomeOf(runErr),
-		FinalCounters:  m.FinalCounters(),
-		ElapsedSeconds: time.Since(start).Seconds(),
-	}
-	finishProgramResult(&res, m, base, p.Region, runErr, nil, sess, 0)
-	if res.Witness != nil {
+	if res.Witness != nil && len(j.spec.Schedule) > 0 {
 		// Unified witness shape: a scheduled replay's evidence carries the
 		// sequential composition that produced it, same as predict's
 		// certified reorderings and staticrace's static witnesses.
-		res.Witness.Schedule = staticrace.V1Schedule(p, schedule...)
+		res.Witness.Schedule = staticrace.V1Schedule(j.prog, j.spec.Schedule...)
+	}
+	if rep.Telemetry != nil {
+		res.Report = rep.Telemetry.V1()
 	}
 	return res
 }
@@ -1226,76 +1201,6 @@ func (s *Server) runPredict(p *prog.Program, seed int64, maxSteps uint64) apiv1.
 		res.Predicted = pr.V1(nil)
 		res.Witness = res.Predicted[0].Witness
 		res.DeterminismHash = res.Predicted[0].DeterminismHash
-	}
-	return res
-}
-
-// layoutOf mirrors the facade's epoch-layout defaulting for the one
-// entry point that builds a machine directly.
-func layoutOf(sc apiv1.SessionConfig) vclock.Layout {
-	l := vclock.DefaultLayout
-	if sc.ClockBits != 0 {
-		l.ClockBits = sc.ClockBits
-	}
-	if sc.TIDBits != 0 {
-		l.TIDBits = sc.TIDBits
-	}
-	return l
-}
-
-// finishProgramResult attaches the error/witness or the determinism hash,
-// and for metric-enabled sessions the RunReport.
-func finishProgramResult(res *apiv1.RunResult, m *clean.Machine, base uint64, region int, runErr error, reg *clean.Metrics, sess *session, seed int64) {
-	if runErr != nil {
-		res.Error = runErr.Error()
-		res.Witness = witnessOf(runErr)
-	} else {
-		res.DeterminismHash = telemetry.FormatHash(m.HashMem(base, region))
-	}
-	if reg != nil {
-		tr := telemetry.NewRunReport()
-		tr.Workload = "prog"
-		tr.Detector = sess.cfg.Detection
-		tr.Seed = seed
-		tr.DetSync = sess.cfg.DetSync
-		tr.Outcome = res.Outcome
-		tr.Error = res.Error
-		tr.OutputHash = res.DeterminismHash
-		tr.ElapsedSeconds = res.ElapsedSeconds
-		tr.Metrics = reg.Snapshot()
-		res.Report = tr.V1()
-	}
-}
-
-// runWorkload runs a benchmark stand-in job once under the given seed.
-func (s *Server) runWorkload(sess *session, det clean.Detection, w *apiv1.WorkloadSpec, seed int64, maxSteps uint64) apiv1.RunResult {
-	reg := sessionRegistry(sess.cfg)
-	cfg, err := clean.NewConfig(s.runOptions(sess.cfg, det, seed, reg, maxSteps)...)
-	if err != nil {
-		return errorResult(seed, err)
-	}
-	scale := w.Scale
-	if scale == "" {
-		scale = "test"
-	}
-	rep, err := clean.RunWorkload(w.Name, scale, w.Variant == "modified", cfg)
-	if err != nil {
-		return errorResult(seed, err)
-	}
-	res := apiv1.RunResult{
-		Seed:           seed,
-		Outcome:        clean.OutcomeOf(rep.Err),
-		FinalCounters:  rep.FinalCounters,
-		ElapsedSeconds: rep.Elapsed.Seconds(),
-	}
-	if rep.Err != nil {
-		res.Error = rep.Err.Error()
-		res.Witness = witnessOf(rep.Err)
-	} else {
-		res.DeterminismHash = telemetry.FormatHash(rep.OutputHash)
-	}
-	if rep.Telemetry != nil {
-		res.Report = rep.Telemetry.V1()
 	}
 	return res
 }

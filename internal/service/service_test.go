@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -175,6 +176,100 @@ func TestWorkloadJob(t *testing.T) {
 	if res.Report.Kind != apiv1.KindRunReport || res.Report.OutputHash != want {
 		t.Errorf("report kind %q hash %s, want %q %s",
 			res.Report.Kind, res.Report.OutputHash, apiv1.KindRunReport, want)
+	}
+}
+
+// TestProgramJobReport pins the program-job RunReport in a metrics
+// session: it carries the CLEAN detector's core.* counters, as a workload
+// job's does, and names the detector that actually ran when the job
+// overrides the session's.
+func TestProgramJobReport(t *testing.T) {
+	ctx := context.Background()
+	_, c := startTestServer(t, Config{Workers: 2, QueueDepth: 8})
+
+	sess, err := c.CreateSession(ctx, apiv1.SessionConfig{
+		Detection: apiv1.DetectionCLEAN, Seed: 0, DetSync: true, Metrics: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := c.Run(ctx, sess.ID, apiv1.JobSpec{Program: prog.LitmusByName("locked-counter").P.String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := job.Runs[0].Report
+	if rep == nil {
+		t.Fatal("metrics session returned no report")
+	}
+	core := 0
+	for name := range rep.Metrics.Counters {
+		if strings.HasPrefix(name, "core.") {
+			core++
+		}
+	}
+	if core == 0 || rep.Metrics.Counters["core.accesses"] == 0 {
+		t.Errorf("program report carries %d core.* counters (core.accesses %d), want the CLEAN detector's",
+			core, rep.Metrics.Counters["core.accesses"])
+	}
+	if rep.Detector != apiv1.DetectionCLEAN || rep.Workload != "prog" {
+		t.Errorf("report detector %q workload %q, want %q %q", rep.Detector, rep.Workload, apiv1.DetectionCLEAN, "prog")
+	}
+
+	ft, err := c.Run(ctx, sess.ID, apiv1.JobSpec{Litmus: "locked-counter", Detection: apiv1.DetectionFastTrack})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := ft.Runs[0].Report; rep == nil {
+		t.Error("fasttrack override: no report")
+	} else if rep.Detector != apiv1.DetectionFastTrack {
+		t.Errorf("fasttrack override: report detector %q, want %q", rep.Detector, apiv1.DetectionFastTrack)
+	}
+}
+
+// nestedLoops lowers toward 64⁴ × 2 ops: four nested unrolled loops
+// around one read and one write.
+const nestedLoops = `package main
+
+var x int
+
+func main() {
+	go func() {
+		for i := 0; i < 64; i++ {
+			for j := 0; j < 64; j++ {
+				for k := 0; k < 64; k++ {
+					for l := 0; l < 64; l++ {
+						x = x + 1
+					}
+				}
+			}
+		}
+	}()
+}
+`
+
+// TestSubmitRejectsOversizedPrograms: submissions whose lowering or
+// shared state would cost unbounded memory or time are 400s, answered
+// before any run starts.
+func TestSubmitRejectsOversizedPrograms(t *testing.T) {
+	srv := newServer(Config{Workers: 1, QueueDepth: 4})
+	sess, err := srv.CreateSession(apiv1.SessionConfig{Detection: apiv1.DetectionCLEAN, Seed: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []apiv1.JobSpec{
+		{GoSource: nestedLoops},
+		{Program: fmt.Sprintf("region %d\nlocks 0\nthread\n  write 0 8\n", prog.MaxRegion+1)},
+		{Program: fmt.Sprintf("region 8\nlocks %d\nthread\n  write 0 8\n", prog.MaxLocks+1)},
+	} {
+		start := time.Now()
+		_, err := srv.Submit(sess.ID, spec, "")
+		var bad *BadRequestError
+		if !errors.As(err, &bad) {
+			t.Errorf("%.40q: Submit error %v, want a *BadRequestError", spec.GoSource+spec.Program, err)
+		}
+		if d := time.Since(start); d > 5*time.Second {
+			t.Errorf("%.40q: rejection took %v", spec.GoSource+spec.Program, d)
+		}
 	}
 }
 
