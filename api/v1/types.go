@@ -22,10 +22,10 @@ import (
 	"fmt"
 )
 
-// SchemaVersion is stamped into every document this package defines.
-// It matches the RunReport schema introduced by the telemetry layer so a
-// report is the same document whether it was written locally by
-// `cleanrun -report` or returned remotely by cleand.
+// SchemaVersion is stamped into every document this package defines,
+// and into the telemetry layer's BENCH_*.json files, so a report is the
+// same document whether it was written locally by `cleanrun -report` or
+// returned remotely by cleand.
 const SchemaVersion = 1
 
 // Document kinds: a second self-description guard alongside the schema
@@ -56,7 +56,7 @@ var detectionNames = []string{
 	DetectionNone, DetectionCLEAN, DetectionFastTrack, DetectionTSanLite, DetectionPredict,
 }
 
-// Run outcome vocabulary, shared with the local RunReport.
+// Run outcome vocabulary (clean.OutcomeOf classifies into it).
 const (
 	OutcomeCompleted      = "completed"
 	OutcomeRaceException  = "race-exception"
@@ -101,9 +101,9 @@ type MetricsSnapshot struct {
 
 // RunReport is the machine-readable record of one run: identity (what ran,
 // under which configuration), outcome, and every telemetry metric. It is
-// byte-for-byte the document the telemetry layer has always written; the
-// type lives here so remote clients can decode it without importing the
-// implementation.
+// the one run-report type: the telemetry layer, the facade, the CLIs and
+// the service all fill this struct, and it lives here so remote clients
+// can decode it without importing the implementation.
 type RunReport struct {
 	Schema   int    `json:"schema"`
 	Kind     string `json:"kind"`
@@ -137,6 +137,25 @@ type RunReport struct {
 // NewRunReport returns a report pre-stamped with the current schema.
 func NewRunReport() *RunReport {
 	return &RunReport{Schema: SchemaVersion, Kind: KindRunReport}
+}
+
+// Counter returns a counter from the report's metrics, 0 when absent or
+// on a nil report, so consumers read rep.Counter("machine.shared_reads")
+// without nil checks.
+func (r *RunReport) Counter(name string) uint64 {
+	if r == nil {
+		return 0
+	}
+	return r.Metrics.Counters[name]
+}
+
+// Gauge returns a gauge from the report's metrics, 0 when absent or on a
+// nil report.
+func (r *RunReport) Gauge(name string) float64 {
+	if r == nil {
+		return 0
+	}
+	return r.Metrics.Gauges[name]
 }
 
 // ScheduleStep is one run of a witness schedule: dispatch Ops

@@ -35,9 +35,11 @@
 // To run a whole program once and get its outcome as a Report, call
 // RunWorkload for one of the benchmark stand-ins or RunProgram for a
 // program in the internal/prog IR (a litmus test, a generated program, a
-// lowered Go source file). Both share one body — build, run, counters,
-// output fingerprint, telemetry — which the CLIs and the detection
-// service call rather than building machines themselves.
+// lowered Go source file). Both share one body — validate, build, run,
+// counters, output fingerprint, detector footprint, telemetry — which
+// the CLIs, the detection service, DiagnoseWorkload and the evaluation
+// harness's whole-workload runs call rather than building machines
+// themselves.
 //
 // See examples/ for complete programs, cmd/cleanbench for the paper's
 // evaluation, and cmd/cleand for serving detection over HTTP (the api/v1
@@ -48,10 +50,12 @@ import (
 	"errors"
 	"time"
 
+	apiv1 "repro/api/v1"
 	"repro/internal/core"
 	"repro/internal/fasttrack"
 	"repro/internal/machine"
 	"repro/internal/prog"
+	"repro/internal/shadow"
 	"repro/internal/telemetry"
 	"repro/internal/tsanlite"
 	"repro/internal/vclock"
@@ -109,11 +113,14 @@ type (
 	// trace-event / Perfetto JSON; attach one via Config.Timeline.
 	Timeline = telemetry.Timeline
 	// MetricsSnapshot is the serialized state of a Metrics registry.
-	MetricsSnapshot = telemetry.Snapshot
+	MetricsSnapshot = apiv1.MetricsSnapshot
 	// RunReport is the schema-versioned machine-readable record of one
-	// run; RunWorkload and RunProgram fill Report.Telemetry with one when
-	// Config.Metrics is set.
-	RunReport = telemetry.RunReport
+	// run, the api/v1 document; RunWorkload and RunProgram fill
+	// Report.Telemetry with one when Config.Metrics is set.
+	RunReport = apiv1.RunReport
+	// Footprint is a detector's metadata footprint: mapped shadow pages,
+	// compact and expanded lines, logical metadata bytes.
+	Footprint = shadow.Footprint
 )
 
 // NewMetrics returns an empty enabled metric registry.
@@ -125,7 +132,7 @@ func NewTimeline() *Timeline { return telemetry.NewTimeline() }
 // DecodeRunReport parses and validates an encoded RunReport; unknown
 // fields or a schema-version mismatch are errors.
 func DecodeRunReport(data []byte) (*RunReport, error) {
-	return telemetry.DecodeRunReport(data)
+	return apiv1.DecodeRunReport(data)
 }
 
 // Race kinds.
@@ -355,32 +362,50 @@ type Report struct {
 	FinalCounters []uint64
 	// Elapsed is the wall-clock run time.
 	Elapsed time.Duration
+	// Footprint is the detector's metadata at run end, read before its
+	// shadow pages are recycled: CLEAN fills every field, FastTrack only
+	// MetadataBytes, and runs under other detectors leave it zero.
+	Footprint Footprint
 	// Telemetry is the schema-versioned run report, filled when
-	// Config.Metrics was set; Telemetry.Encode renders it as JSON.
+	// Config.Metrics was set; api/v1's Encode renders it as JSON.
 	Telemetry *RunReport
 }
 
 // RunWorkload builds and runs one benchmark stand-in. scale is "test",
 // "simsmall", "simlarge" or "native"; modified selects the race-free
-// variant (§6.1).
+// variant (§6.1). An invalid cfg is an error, as from NewConfig.
 func RunWorkload(name, scale string, modified bool, cfg Config) (*Report, error) {
+	id, build, err := workloadTarget(name, scale, modified)
+	if err != nil {
+		return nil, err
+	}
+	return run(cfg, cfg.detector(), nil, id, build)
+}
+
+// builder sets a program up on a fresh machine, returning its root
+// function and the output region run fingerprints.
+type builder func(m *Machine) (root func(*Thread), out uint64, n int)
+
+// workloadTarget resolves a benchmark stand-in into the report identity
+// and builder run takes.
+func workloadTarget(name, scale string, modified bool) (RunReport, builder, error) {
 	w, ok := workloads.ByName(name)
 	if !ok {
-		return nil, &UnknownWorkloadError{Name: name}
+		return RunReport{}, nil, &UnknownWorkloadError{Name: name}
 	}
 	sc, err := workloads.ParseScale(scale)
 	if err != nil {
-		return nil, err
+		return RunReport{}, nil, err
 	}
 	variant := workloads.Unmodified
 	if modified {
 		variant = workloads.Modified
 	}
-	id := telemetry.RunReport{Workload: name, Scale: sc.String(), Variant: variant.String()}
-	return run(cfg, nil, id, func(m *Machine) (func(*Thread), uint64, int) {
+	id := RunReport{Workload: name, Scale: sc.String(), Variant: variant.String()}
+	return id, func(m *Machine) (func(*Thread), uint64, int) {
 		root, out := w.Build(m, sc, variant)
 		return root, out.Addr, out.Len
-	}), nil
+	}, nil
 }
 
 // RunProgram builds and runs one program in the internal/prog IR — the
@@ -389,7 +414,7 @@ func RunWorkload(name, scale string, modified bool, cfg Config) (*Report, error)
 // runs those workers in order (prog.SequentialPicker, the static
 // analyzer's witness schedule) instead of the seeded scheduler; the
 // interleaving is then fixed, so Seed, DeterministicSync and YieldEvery
-// are ignored.
+// are ignored. An invalid program or cfg is an error.
 func RunProgram(p *prog.Program, cfg Config, schedule ...int) (*Report, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -399,19 +424,21 @@ func RunProgram(p *prog.Program, cfg Config, schedule ...int) (*Report, error) {
 		pick = prog.SequentialPicker(schedule...)
 		cfg.Seed, cfg.DeterministicSync, cfg.YieldEvery = 0, false, 0
 	}
-	return run(cfg, pick, telemetry.RunReport{Workload: "prog"}, func(m *Machine) (func(*Thread), uint64, int) {
+	return run(cfg, cfg.detector(), pick, RunReport{Workload: "prog"}, func(m *Machine) (func(*Thread), uint64, int) {
 		root, base := p.Build(m)
 		return root, base, p.Region
-	}), nil
+	})
 }
 
-// run is the one body behind RunWorkload and RunProgram: build the
-// machine (driven by pick when non-nil), run it, read its counters and
-// output fingerprint, publish the detector's stats and, with
+// run is the one body behind RunWorkload, RunProgram and
+// DiagnoseWorkload: validate cfg, build the machine around det (driven
+// by pick when non-nil), run it, read its counters, output fingerprint
+// and detector footprint, publish the CLEAN detector's stats and, with
 // Config.Metrics set, file the telemetry report under id's names.
-func run(cfg Config, pick func([]*Thread) int, id telemetry.RunReport,
-	build func(*Machine) (root func(*Thread), out uint64, n int)) *Report {
-	det := cfg.detector()
+func run(cfg Config, det Detector, pick func([]*Thread) int, id RunReport, build builder) (*Report, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	mc := cfg.machineConfig(det)
 	mc.Picker = pick
 	m := machine.New(mc)
@@ -433,16 +460,20 @@ func run(cfg Config, pick func([]*Thread) int, id telemetry.RunReport,
 	if runErr == nil {
 		rep.OutputHash = m.HashMem(out, n)
 	}
-	if cd, ok := det.(*core.Detector); ok {
-		cd.Stats().PublishTo(cfg.Metrics)
+	switch d := det.(type) {
+	case *core.Detector:
+		d.Stats().PublishTo(cfg.Metrics)
+		rep.Footprint = d.Footprint()
+	case *fasttrack.Detector:
+		rep.Footprint.MetadataBytes = d.MetadataBytes()
 	}
 	if cfg.Metrics != nil {
-		tr := telemetry.NewRunReport()
+		tr := apiv1.NewRunReport()
 		tr.Workload, tr.Scale, tr.Variant = id.Workload, id.Scale, id.Variant
 		tr.Detector = cfg.Detection.String()
 		tr.Seed = cfg.Seed
 		tr.DetSync = cfg.DeterministicSync
-		tr.Outcome = classifyOutcome(runErr)
+		tr.Outcome = OutcomeOf(runErr)
 		if runErr != nil {
 			tr.Error = runErr.Error()
 		} else {
@@ -452,7 +483,7 @@ func run(cfg Config, pick func([]*Thread) int, id telemetry.RunReport,
 		tr.Metrics = cfg.Metrics.Snapshot()
 		rep.Telemetry = tr
 	}
-	return rep
+	return rep, nil
 }
 
 // String names the detector choice for reports and CLIs.
@@ -472,29 +503,26 @@ func (d Detection) String() string {
 
 // OutcomeOf maps a Run error to the RunReport outcome vocabulary
 // ("completed", "race-exception", "deadlock", "livelock",
-// "contained-crash", "error"); RunWorkload, the CLIs and the detection
-// service all classify through it.
-func OutcomeOf(err error) string { return classifyOutcome(err) }
-
-// classifyOutcome maps a Run error to the RunReport outcome vocabulary.
-func classifyOutcome(err error) string {
+// "contained-crash", "error"); the run body, the CLIs, the detection
+// service and the harness all classify through it.
+func OutcomeOf(err error) string {
 	var race *RaceError
 	var dead *DeadlockError
 	var live *LivelockError
 	var merr *MachineError
 	switch {
 	case err == nil:
-		return "completed"
+		return apiv1.OutcomeCompleted
 	case errors.As(err, &race):
-		return "race-exception"
+		return apiv1.OutcomeRaceException
 	case errors.As(err, &dead):
-		return "deadlock"
+		return apiv1.OutcomeDeadlock
 	case errors.As(err, &live):
-		return "livelock"
+		return apiv1.OutcomeLivelock
 	case errors.As(err, &merr):
-		return "contained-crash"
+		return apiv1.OutcomeContainedCrash
 	}
-	return "error"
+	return apiv1.OutcomeError
 }
 
 // UnknownWorkloadError reports a benchmark name not in the registry.

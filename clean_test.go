@@ -3,6 +3,9 @@ package clean
 import (
 	"errors"
 	"testing"
+
+	"repro/internal/faults"
+	"repro/internal/prog"
 )
 
 func TestQuickstartRaceDetected(t *testing.T) {
@@ -108,5 +111,72 @@ func TestNarrowClockRollsOver(t *testing.T) {
 	}
 	if rep.Stats.Rollovers == 0 {
 		t.Error("expected rollover resets with a 5-bit clock")
+	}
+}
+
+// TestRunRejectsInvalidConfig: RunWorkload and RunProgram return the
+// configuration's Validate error rather than running without a detector.
+func TestRunRejectsInvalidConfig(t *testing.T) {
+	p := prog.LitmusByName("waw").P
+	for _, cfg := range []Config{
+		{Detection: 99},
+		{Detection: DetectFastTrack, DisableMultibyteOpt: true},
+	} {
+		want := cfg.Validate()
+		if want == nil {
+			t.Fatalf("%+v validates", cfg)
+		}
+		if _, err := RunWorkload("fft", "test", false, cfg); err == nil || err.Error() != want.Error() {
+			t.Errorf("RunWorkload(%+v) err = %v, want %v", cfg, err, want)
+		}
+		if _, err := RunProgram(p, cfg); err == nil || err.Error() != want.Error() {
+			t.Errorf("RunProgram(%+v) err = %v, want %v", cfg, err, want)
+		}
+	}
+}
+
+// TestShadowBitFlipFiresThroughRunWorkload: a ShadowBitFlip plan passed as
+// Config.FaultInjector corrupts the run's own CLEAN detector, and the
+// sanity check repairs the flipped epoch instead of raising a race.
+func TestShadowBitFlipFiresThroughRunWorkload(t *testing.T) {
+	inj := faults.New(faults.Plan{Seed: 1, Injections: []faults.Injection{
+		{Kind: faults.ShadowBitFlip, AtAccess: 892, Bit: 31},
+	}})
+	rep, err := RunWorkload("fft", "test", true, Config{
+		Detection: DetectCLEAN, DeterministicSync: true, Seed: 1,
+		FaultInjector: inj, Metrics: NewMetrics(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Err != nil {
+		t.Fatalf("flipped bit surfaced as %v", rep.Err)
+	}
+	if len(inj.Fired()) != 1 {
+		t.Fatalf("fired = %v, want the one bit flip", inj.Fired())
+	}
+	if n := rep.Telemetry.Counter("core.metadata_repairs"); n == 0 {
+		t.Fatal("no metadata repair counted")
+	}
+}
+
+// TestReportFootprint: CLEAN reports its whole shadow footprint, FastTrack
+// only its metadata bytes, and a run without a detector none.
+func TestReportFootprint(t *testing.T) {
+	run := func(d Detection) Footprint {
+		rep, err := RunWorkload("fft", "test", true, Config{Detection: d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Footprint
+	}
+	if fp := run(DetectCLEAN); fp.MappedPages == 0 || fp.LinesCompact+fp.LinesExpanded == 0 || fp.MetadataBytes == 0 {
+		t.Errorf("CLEAN footprint %+v has an empty field", fp)
+	}
+	if fp := run(DetectFastTrack); fp.MetadataBytes == 0 || fp != (Footprint{MetadataBytes: fp.MetadataBytes}) {
+		t.Errorf("FastTrack footprint %+v, want MetadataBytes alone", fp)
+	}
+	if fp := run(DetectNone); fp != (Footprint{}) {
+		t.Errorf("undetected run footprint %+v, want zero", fp)
 	}
 }

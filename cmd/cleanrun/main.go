@@ -371,10 +371,10 @@ func writeTimeline(path string, tl *clean.Timeline) error {
 	return f.Close()
 }
 
-// writeReport encodes the run report into path, or stdout for "-", in the
-// published api/v1 shape (byte-identical to the internal document).
+// writeReport encodes the run report into path, or stdout for "-", as
+// the api/v1 document.
 func writeReport(path string, rep *clean.RunReport) error {
-	data, err := apiv1.Encode(rep.V1())
+	data, err := apiv1.Encode(rep)
 	if err != nil {
 		return err
 	}

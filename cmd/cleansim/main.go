@@ -18,6 +18,7 @@ import (
 	"os"
 
 	clean "repro"
+	apiv1 "repro/api/v1"
 	"repro/internal/hwsim"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -131,14 +132,14 @@ func main() {
 func writeReport(path, name, scale, scheme string, seed int64, r hwsim.Result) error {
 	reg := telemetry.NewRegistry()
 	r.PublishTo(reg)
-	rep := telemetry.NewRunReport()
+	rep := apiv1.NewRunReport()
 	rep.Workload = name
 	rep.Scale = scale
 	rep.Variant = "hwsim/" + scheme
 	rep.Seed = seed
 	rep.Outcome = "completed"
 	rep.Metrics = reg.Snapshot()
-	data, err := rep.Encode()
+	data, err := apiv1.Encode(rep)
 	if err != nil {
 		return err
 	}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/tsanlite"
-	"repro/internal/workloads"
 )
 
 // Diagnosis is the result of DiagnoseWorkload: the paper's §3.1 debugging
@@ -38,45 +37,41 @@ type Diagnosis struct {
 // combined. Determinism makes the re-runs meaningful: with cfg's seed
 // fixed, all three runs observe the same execution prefix.
 func DiagnoseWorkload(name, scale string, modified bool, cfg Config) (*Diagnosis, error) {
-	w, ok := workloads.ByName(name)
-	if !ok {
-		return nil, &UnknownWorkloadError{Name: name}
-	}
-	sc, err := workloads.ParseScale(scale)
+	id, build, err := workloadTarget(name, scale, modified)
 	if err != nil {
 		return nil, err
 	}
-	variant := workloads.Unmodified
-	if modified {
-		variant = workloads.Modified
+	// 1. Production run under CLEAN, as RunWorkload runs it.
+	first, err := run(cfg, cfg.detector(), nil, id, build)
+	if err != nil {
+		return nil, err
 	}
-
-	// 1. Production run under CLEAN.
-	first := NewMachine(cfg)
-	root, _ := w.Build(first, sc, variant)
-	runErr := first.Run(root)
 	d := &Diagnosis{}
-	if runErr == nil {
+	if first.Err == nil {
 		return d, nil
 	}
-	if !errors.As(runErr, &d.FirstException) {
-		return nil, runErr // deadlock or workload bug: not a race matter
+	if !errors.As(first.Err, &d.FirstException) {
+		return nil, first.Err // deadlock or workload bug: not a race matter
+	}
+	// rerun replays the same schedule under a monitor-mode detector.
+	rerun := func(det Detector) error {
+		rep, err := run(cfg, det, nil, id, build)
+		if err != nil {
+			return err
+		}
+		return rep.Err
 	}
 
 	// 2. Monitor-mode CLEAN on the same schedule: all WAW/RAW races.
 	mon := core.New(core.Config{Layout: cfg.layout(), Monitor: true})
-	m2 := NewMachineWithDetector(cfg, mon)
-	root2, _ := w.Build(m2, sc, variant)
-	if err := m2.Run(root2); err != nil {
+	if err := rerun(mon); err != nil {
 		return nil, err
 	}
 	d.AllWAWRAW = mon.Races()
 
 	// 3. Imprecise WAR scan on the same schedule.
 	ts := tsanlite.New(tsanlite.Config{Layout: cfg.layout(), Monitor: true})
-	m3 := NewMachineWithDetector(cfg, ts)
-	root3, _ := w.Build(m3, sc, variant)
-	if err := m3.Run(root3); err != nil {
+	if err := rerun(ts); err != nil {
 		return nil, err
 	}
 	for _, r := range ts.Races() {

@@ -22,6 +22,7 @@ import (
 	"os"
 
 	clean "repro"
+	apiv1 "repro/api/v1"
 )
 
 func main() {
@@ -86,7 +87,7 @@ func main() {
 		timeline.Events())
 
 	// Surface 3: the RunReport, already assembled by RunWorkload.
-	data, err := rep.Telemetry.Encode()
+	data, err := apiv1.Encode(rep.Telemetry)
 	if err != nil {
 		log.Fatal(err)
 	}

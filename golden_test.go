@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	apiv1 "repro/api/v1"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files with current output")
@@ -109,7 +111,7 @@ func TestRunReportGolden(t *testing.T) {
 		t.Fatalf("run failed: %v", rep.Err)
 	}
 	rep.Telemetry.ElapsedSeconds = 0
-	got, err := rep.Telemetry.Encode()
+	got, err := apiv1.Encode(rep.Telemetry)
 	if err != nil {
 		t.Fatal(err)
 	}

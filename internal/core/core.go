@@ -96,24 +96,6 @@ func (s Stats) PublishTo(reg *telemetry.Registry) {
 	}
 }
 
-// PublishFootprintTo records the detector's end-of-run shadow footprint —
-// the adaptive representation's mapped pages, compact/expanded line split,
-// and logical metadata bytes — as core.shadow_* gauges. It is separate
-// from Stats.PublishTo deliberately: the facade's golden-pinned report
-// path publishes only the work counters, while the harness experiments
-// (and anything else that wants the footprint in its snapshot) opt in by
-// calling this before ReleaseMetadata. Nil reg is a no-op.
-func (d *Detector) PublishFootprintTo(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
-	f := d.epochs.Footprint()
-	reg.Gauge("core.shadow_mapped_pages").Set(float64(f.MappedPages))
-	reg.Gauge("core.shadow_lines_compact").Set(float64(f.LinesCompact))
-	reg.Gauge("core.shadow_lines_expanded").Set(float64(f.LinesExpanded))
-	reg.Gauge("core.shadow_metadata_bytes").Set(float64(f.MetadataBytes))
-}
-
 // Detector is the CLEAN WAW/RAW race detector. It implements
 // machine.Detector.
 type Detector struct {
@@ -181,8 +163,8 @@ func (d *Detector) Footprint() shadow.Footprint { return d.epochs.Footprint() }
 
 // ReleaseMetadata returns the detector's shadow pages to the process-wide
 // free list. Call it exactly once, after the run has finished with the
-// detector; the facade, harness, and service job paths all do, which is
-// what keeps steady-state serving at ~zero shadow page allocation.
+// detector; the facade's run body does, which is what keeps steady-state
+// serving at ~zero shadow page allocation.
 func (d *Detector) ReleaseMetadata() { d.epochs.Release() }
 
 // OnAccess implements the CLEAN race check for one shared access of size

@@ -20,7 +20,6 @@ func TestFlippedBitDegradesToRepair(t *testing.T) {
 			{Kind: faults.ShadowBitFlip, AtAccess: 3, Bit: 31},
 		}}
 		inj := faults.New(plan)
-		inj.BindShadow(det.Epochs())
 		m := machine.New(machine.Config{Seed: 1, Detector: det, Injector: inj})
 		a := m.AllocShared(8, 8)
 		l := m.NewMutex()

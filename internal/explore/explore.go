@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/prog"
-	"repro/internal/staticrace"
 )
 
 // Builder constructs the program under test on a fresh machine, returning
@@ -36,21 +35,6 @@ type Options struct {
 	Detector func() machine.Detector
 	// DetSync enables deterministic synchronization in every run.
 	DetSync bool
-	// Prune lets RunProgram skip the exponential search entirely when
-	// the static analyzer (internal/staticrace) proves the program
-	// race-free: the dynamic claim "no interleaving raises an exception"
-	// is then already established without executing a single schedule.
-	// Only RunProgram honors it — Run explores opaque builders the
-	// analyzer cannot see.
-	Prune bool
-	// Parallel is the number of worker goroutines exploring the decision
-	// tree concurrently; 0 or 1 keeps the sequential DFS. Interleavings
-	// are independent replays from the initial state, so an exhaustive
-	// search visits exactly the same set of prefixes in any worker order
-	// and the Result is identical to the sequential search's. inspect
-	// callbacks run serialized under the search lock, but their order is
-	// scheduling-dependent — aggregate commutatively.
-	Parallel int
 }
 
 // Result summarizes an exploration.
@@ -69,15 +53,9 @@ type Result struct {
 	// OtherErrors counts runs that failed some other way (workload
 	// panics).
 	OtherErrors int
-	// Pruned reports that the static analyzer proved the program
-	// race-free and the search was skipped (RunProgram with
-	// Options.Prune); Runs is 0 and the result still counts as
-	// exhaustive.
-	Pruned bool
 }
 
-// Exhaustive reports whether every interleaving was covered — by
-// enumeration, or by a static race-freedom proof standing in for it.
+// Exhaustive reports whether every interleaving was enumerated.
 func (r Result) Exhaustive() bool { return !r.Truncated }
 
 // replayPicker forces a prefix of choices and records the branching
@@ -103,9 +81,6 @@ func (p *replayPicker) pick(runnable []*machine.Thread) int {
 func Run(opts Options, build Builder, inspect func(m *machine.Machine, err error)) Result {
 	if opts.MaxRuns <= 0 {
 		opts.MaxRuns = 10000
-	}
-	if opts.Parallel > 1 {
-		return runParallel(opts, build, inspect)
 	}
 	res := Result{Exceptions: make(map[machine.RaceKind]int)}
 
@@ -154,15 +129,8 @@ func Run(opts Options, build Builder, inspect func(m *machine.Machine, err error
 	return res
 }
 
-// RunProgram explores every interleaving of a prog IR program, like Run,
-// but with access to the program's structure: with opts.Prune set it
-// first runs the static race analyzer and skips the search when the
-// program is proved race-free, returning a Pruned result that upholds the
-// same "no exceptions in any interleaving" claim.
+// RunProgram explores every interleaving of a prog IR program, like Run.
 func RunProgram(opts Options, p *prog.Program, inspect func(m *machine.Machine, err error)) Result {
-	if opts.Prune && staticrace.Analyze(p).Verdict() == staticrace.RaceFree {
-		return Result{Pruned: true, Exceptions: make(map[machine.RaceKind]int)}
-	}
 	return Run(opts, func(m *machine.Machine) func(*machine.Thread) {
 		root, _ := p.Build(m)
 		return root

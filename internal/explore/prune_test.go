@@ -1,40 +1,10 @@
 package explore
 
-import (
-	"testing"
+import "testing"
 
-	"repro/internal/machine"
-)
-
-// TestPruneSkipsStaticallyRaceFreeLitmuses: with Prune enabled, the
-// statically-proven race-free litmus programs are never executed — the
-// static pass stands in for the exhaustive search.
-func TestPruneSkipsStaticallyRaceFreeLitmuses(t *testing.T) {
-	for _, name := range []string{"locked-counter", "disjoint", "nested-locks"} {
-		res := RunProgram(Options{Detector: cleanDet, Prune: true}, litmus(t, name), nil)
-		if !res.Pruned || res.Runs != 0 {
-			t.Errorf("%s: not pruned: %+v", name, res)
-		}
-		if !res.Exhaustive() {
-			t.Errorf("%s: pruned result must count as exhaustive", name)
-		}
-	}
-}
-
-// TestPruneNeverSkipsRacyLitmuses: racy and merely may-race programs must
-// still be explored; pruning only fires on a race-freedom proof.
-func TestPruneNeverSkipsRacyLitmuses(t *testing.T) {
-	for _, name := range []string{"waw", "raw-war", "partial-lock", "lock-shadow"} {
-		res := RunProgram(Options{Detector: cleanDet, Prune: true}, litmus(t, name), nil)
-		if res.Pruned || res.Runs == 0 {
-			t.Errorf("%s: racy program pruned: %+v", name, res)
-		}
-	}
-}
-
-// TestPruneMatchesExploration: on the race-free litmuses, the pruned
-// claim agrees with what the full search finds — zero exceptions over the
-// exhausted space.
+// TestPruneMatchesExploration: on the litmuses the static analyzer proves
+// race-free, the full search agrees — zero exceptions over the exhausted
+// space.
 func TestPruneMatchesExploration(t *testing.T) {
 	for _, name := range []string{"locked-counter", "disjoint", "nested-locks"} {
 		full := RunProgram(Options{Detector: cleanDet, MaxRuns: 200000}, litmus(t, name), nil)
@@ -56,16 +26,4 @@ func exceptionTotal(r Result) int {
 		n += c
 	}
 	return n
-}
-
-// TestPrunedResultShape: a pruned result is safe to consume like any
-// other (non-nil exception map, zero counters).
-func TestPrunedResultShape(t *testing.T) {
-	res := RunProgram(Options{Prune: true}, litmus(t, "disjoint"), nil)
-	if !res.Pruned {
-		t.Fatal("not pruned")
-	}
-	if res.Exceptions == nil || res.Exceptions[machine.WAW] != 0 {
-		t.Fatalf("exception map unusable: %+v", res)
-	}
 }

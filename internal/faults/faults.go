@@ -17,6 +17,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"repro/internal/machine"
 	"repro/internal/shadow"
 	"repro/internal/vclock"
 )
@@ -35,7 +36,9 @@ const (
 	// SpuriousWakeup wakes a condition-blocked thread without a signal.
 	SpuriousWakeup
 	// ShadowBitFlip flips one bit of a shadow epoch just before a race
-	// check, corrupting detector metadata.
+	// check, corrupting the metadata of the detector the machine runs.
+	// The machine hands its detector to the hook, so there is no binding
+	// step; a detector without a shadow region leaves it unfired.
 	ShadowBitFlip
 	// ClockPressure narrows the epoch clock field so the run is forced
 	// through deterministic rollover resets (§4.5).
@@ -238,14 +241,18 @@ func pressureClockBits(prof Profile) uint {
 
 // Injector applies a Plan through the machine.Injector hook and records
 // every fault that actually fired. An Injector is single-use: create a
-// fresh one per machine run. For ShadowBitFlip plans, bind the detector's
-// shadow region with BindShadow before running.
+// fresh one per machine run. ShadowBitFlip injections corrupt the shadow
+// region of the detector the machine hands the hook, so they fire
+// through any entry point that accepts an injector.
 type Injector struct {
-	plan   Plan
-	region *shadow.Region
-	done   []bool
-	fired  []string
+	plan  Plan
+	done  []bool
+	fired []string
 }
+
+// shadowed is a detector whose metadata lives in a shadow region (the
+// CLEAN detector).
+type shadowed interface{ Epochs() *shadow.Region }
 
 // New returns an injector for plan p.
 func New(p Plan) *Injector {
@@ -254,9 +261,6 @@ func New(p Plan) *Injector {
 
 // Plan returns the injector's plan.
 func (in *Injector) Plan() Plan { return in.plan }
-
-// BindShadow attaches the shadow region ShadowBitFlip injections corrupt.
-func (in *Injector) BindShadow(r *shadow.Region) { in.region = r }
 
 // Fired returns a deterministic log of the injections that fired, in
 // firing order; replaying the same (seed, plan) yields the same log.
@@ -325,14 +329,21 @@ func (in *Injector) SpuriousWake(step uint64, tid int) bool {
 }
 
 // OnSharedAccess implements machine.Injector: at the planned access, flip
-// the planned bit of the epoch shadowing addr.
-func (in *Injector) OnSharedAccess(n, addr uint64) {
+// the planned bit of the epoch shadowing addr in det's shadow region. A
+// detector without one (none, FastTrack, the TSan-like baseline) leaves
+// the injection unfired.
+func (in *Injector) OnSharedAccess(n, addr uint64, det machine.Detector) {
 	for i, inj := range in.plan.Injections {
-		if inj.Kind != ShadowBitFlip || in.done[i] || n < inj.AtAccess || in.region == nil {
+		if inj.Kind != ShadowBitFlip || in.done[i] || n < inj.AtAccess {
 			continue
 		}
-		e := in.region.Load(addr)
-		in.region.Store(addr, e^vclock.Epoch(1)<<inj.Bit)
+		sd, ok := det.(shadowed)
+		if !ok {
+			return
+		}
+		r := sd.Epochs()
+		e := r.Load(addr)
+		r.Store(addr, e^vclock.Epoch(1)<<inj.Bit)
 		in.fire(i, "shadow-bit-flip access=%d addr=%#x bit=%d old=%#x", n, addr, inj.Bit, uint32(e))
 	}
 }

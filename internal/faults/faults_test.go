@@ -3,6 +3,7 @@ package faults
 import (
 	"testing"
 
+	"repro/internal/machine"
 	"repro/internal/shadow"
 	"repro/internal/vclock"
 )
@@ -84,6 +85,14 @@ func TestInjectorFiresOnce(t *testing.T) {
 	}
 }
 
+// shadowDetector is a detector whose metadata is the shadow region r.
+type shadowDetector struct{ r *shadow.Region }
+
+func (shadowDetector) Name() string                                      { return "shadow" }
+func (shadowDetector) OnAccess(*machine.Thread, uint64, int, bool) error { return nil }
+func (shadowDetector) Reset()                                            {}
+func (d shadowDetector) Epochs() *shadow.Region                          { return d.r }
+
 func TestInjectorBitFlip(t *testing.T) {
 	r := shadow.New()
 	layout := vclock.DefaultLayout
@@ -91,17 +100,21 @@ func TestInjectorBitFlip(t *testing.T) {
 	r.Store(0x40, orig)
 	p := Plan{Seed: 1, Injections: []Injection{{Kind: ShadowBitFlip, AtAccess: 5, Bit: 31}}}
 	in := New(p)
-	in.BindShadow(r)
-	in.OnSharedAccess(4, 0x40)
+	in.OnSharedAccess(5, 0x40, nil)
+	if len(in.Fired()) != 0 {
+		t.Fatalf("flip fired with no detector: %v", in.Fired())
+	}
+	det := shadowDetector{r}
+	in.OnSharedAccess(4, 0x40, det)
 	if got := r.Load(0x40); got != orig {
 		t.Fatalf("flip fired early: %#x", uint32(got))
 	}
-	in.OnSharedAccess(5, 0x40)
+	in.OnSharedAccess(5, 0x40, det)
 	want := orig ^ 1<<31
 	if got := r.Load(0x40); got != want {
 		t.Fatalf("epoch = %#x, want bit 31 flipped (%#x)", uint32(got), uint32(want))
 	}
-	in.OnSharedAccess(6, 0x40)
+	in.OnSharedAccess(6, 0x40, det)
 	if got := r.Load(0x40); got != want {
 		t.Fatal("bit flip is one-shot")
 	}

@@ -10,13 +10,8 @@ import (
 	"time"
 
 	clean "repro"
-	"repro/internal/core"
-	"repro/internal/machine"
-	"repro/internal/shadow"
 	"repro/internal/stats"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
-	"repro/internal/vclock"
 	"repro/internal/workloads"
 )
 
@@ -87,112 +82,21 @@ func (o Options) workers() int {
 	return 1
 }
 
-// runCfg describes one software configuration of the machine.
-type runCfg struct {
-	detSync    bool
-	detector   func() machine.Detector // nil for none
-	layout     vclock.Layout
-	seed       int64
-	yieldEvery int
-	tracer     machine.Tracer
-	maxSteps   uint64 // 0 = DefaultMaxSteps
-	// injector, if non-nil, receives the machine's deterministic
-	// fault-injection callbacks (resilience experiment).
-	injector machine.Injector
-	// metrics, if non-nil, receives the machine's counters plus the
-	// CLEAN detector's core.* counters when the run ends.
-	metrics *telemetry.Registry
-	// timeline, if non-nil, records the run's per-thread spans.
-	timeline *telemetry.Timeline
-}
-
-// runResult is one measured run.
-type runResult struct {
-	err      error
-	elapsed  time.Duration
-	stats    machine.Stats
-	hash     uint64
-	counters []uint64
-	detStats *core.Stats
-	// footprint is the CLEAN detector's shadow footprint at run end,
-	// captured before the pages are recycled to the pool (the region
-	// reads zero afterwards).
-	footprint shadow.Footprint
-}
-
-// machineConfig translates a runCfg onto the facade's functional options
-// — the one config-construction path the facade, CLIs, service and this
-// harness share — and panics on a validation error (harness configs are
-// all code-authored; an invalid one is a bug, in the fatal-error style of
-// this package).
-func (cfg runCfg) machineConfig() clean.Config {
-	maxSteps := cfg.maxSteps
-	if maxSteps == 0 {
-		// Every harness run carries a step budget so a buggy workload
-		// trips the livelock watchdog instead of hanging cleanbench.
-		maxSteps = DefaultMaxSteps
+// runVariant runs one workload variant through clean.RunWorkload, the
+// run body every whole-workload run in the repository shares. A zero
+// cfg.MaxSteps becomes DefaultMaxSteps, so a buggy workload trips the
+// livelock watchdog instead of hanging cleanbench. Harness configurations
+// are code-authored: one the facade rejects is a bug, and panics in this
+// package's fatal-error style.
+func runVariant(wl workloads.Workload, scale workloads.Scale, variant workloads.Variant, cfg clean.Config) *clean.Report {
+	if cfg.MaxSteps == 0 {
+		cfg.MaxSteps = DefaultMaxSteps
 	}
-	opts := []clean.Option{
-		// The detector instance is supplied to NewMachineWithDetector
-		// directly (the harness builds monitor-mode and injector-bound
-		// detectors the Detection enum cannot express).
-		clean.WithDetection(clean.DetectNone),
-		clean.WithSeed(cfg.seed),
-		clean.WithDeterministicSync(cfg.detSync),
-		clean.WithYieldEvery(cfg.yieldEvery),
-		clean.WithMaxSteps(maxSteps),
-		clean.WithTracer(cfg.tracer),
-		clean.WithFaultInjector(cfg.injector),
-		clean.WithMetrics(cfg.metrics),
-		clean.WithTimeline(cfg.timeline),
-	}
-	if cfg.layout != (vclock.Layout{}) {
-		opts = append(opts, clean.WithEpochLayout(cfg.layout.ClockBits, cfg.layout.TIDBits))
-	}
-	ccfg, err := clean.NewConfig(opts...)
+	rep, err := clean.RunWorkload(wl.Name, scale.String(), variant == workloads.Modified, cfg)
 	if err != nil {
-		panic(fmt.Sprintf("harness: invalid run configuration: %v", err))
+		panic(fmt.Sprintf("harness: %s: %v", wl.Name, err))
 	}
-	return ccfg
-}
-
-// runWorkload executes one workload variant under cfg and measures it.
-func runWorkload(w workloads.Workload, scale workloads.Scale, variant workloads.Variant, cfg runCfg) runResult {
-	var det machine.Detector
-	if cfg.detector != nil {
-		det = cfg.detector()
-	}
-	m := clean.NewMachineWithDetector(cfg.machineConfig(), det)
-	root, out := w.Build(m, scale, variant)
-	start := time.Now()
-	err := m.Run(root)
-	elapsed := time.Since(start)
-	res := runResult{
-		err:      err,
-		elapsed:  elapsed,
-		stats:    m.Stats(),
-		counters: m.FinalCounters(),
-	}
-	if err == nil {
-		res.hash = m.HashMem(out.Addr, out.Len)
-	}
-	if cd, ok := det.(*core.Detector); ok {
-		s := cd.Stats()
-		res.detStats = &s
-		s.PublishTo(cfg.metrics)
-		cd.PublishFootprintTo(cfg.metrics)
-		res.footprint = cd.Footprint()
-	}
-	// Recycle the detector's shadow pages: repeated harness runs (and the
-	// parallel engine's fan-out) then serve page materializations from
-	// the pool. Experiments needing footprint numbers read res.footprint.
-	m.ReleaseMetadata()
-	return res
-}
-
-// cleanDetector returns a fresh CLEAN detector factory.
-func cleanDetector(cfg core.Config) func() machine.Detector {
-	return func() machine.Detector { return core.New(cfg) }
+	return rep
 }
 
 // meanSeconds runs fn for reps repetitions — fanned across workers
@@ -234,9 +138,9 @@ func hwSuite() []workloads.Workload {
 // recordTrace runs a workload once with a trace recorder attached.
 func recordTrace(w workloads.Workload, scale workloads.Scale, seed int64) *trace.Trace {
 	rec := &trace.Recorder{}
-	res := runWorkload(w, scale, workloads.Modified, runCfg{seed: seed, yieldEvery: 16, tracer: rec})
-	if res.err != nil {
-		panic(fmt.Sprintf("harness: tracing %s failed: %v", w.Name, res.err))
+	r := runVariant(w, scale, workloads.Modified, clean.Config{Seed: seed, YieldEvery: 16, Tracer: rec})
+	if r.Err != nil {
+		panic(fmt.Sprintf("harness: tracing %s failed: %v", w.Name, r.Err))
 	}
 	return &rec.Trace
 }

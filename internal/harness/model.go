@@ -5,8 +5,7 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/core"
-	"repro/internal/machine"
+	clean "repro"
 	"repro/internal/stats"
 	"repro/internal/workloads"
 )
@@ -26,19 +25,18 @@ func Detect(w io.Writer, o Options) error {
 		// Each repetition is an independent run keyed by its seed: fan the
 		// reps across the worker pool and classify in rep order.
 		errs := ForEachIndexed(o.workers(), reps, func(rep int) error {
-			return runWorkload(wl, scale, workloads.Unmodified, runCfg{
-				seed: int64(rep), detSync: true,
-				detector: cleanDetector(core.Config{}),
-			}).err
+			return runVariant(wl, scale, workloads.Unmodified, clean.Config{
+				Seed: int64(rep), DeterministicSync: true, Detection: clean.DetectCLEAN,
+			}).Err
 		})
 		for rep, rerr := range errs {
-			var re *machine.RaceError
+			var re *clean.RaceError
 			if errors.As(rerr, &re) {
 				exceptions++
 				switch re.Kind {
-				case machine.WAW:
+				case clean.WAW:
 					waw++
-				case machine.RAW:
+				case clean.RAW:
 					raw++
 				default:
 					return fmt.Errorf("detect: %s: CLEAN reported %v", wl.Name, re.Kind)
@@ -85,18 +83,17 @@ func Determinism(w io.Writer, o Options) error {
 			cur fp
 		}
 		outs := ForEachIndexed(o.workers(), reps, func(rep int) repOut {
-			r := runWorkload(wl, scale, workloads.Modified, runCfg{
-				seed: int64(rep), detSync: true,
-				detector: cleanDetector(core.Config{}),
+			r := runVariant(wl, scale, workloads.Modified, clean.Config{
+				Seed: int64(rep), DeterministicSync: true, Detection: clean.DetectCLEAN,
 			})
-			if r.err != nil {
-				return repOut{err: r.err}
+			if r.Err != nil {
+				return repOut{err: r.Err}
 			}
 			return repOut{cur: fp{
-				hash:     r.hash,
-				counters: fmt.Sprint(r.counters),
-				reads:    r.stats.SharedReads,
-				writes:   r.stats.SharedWrites,
+				hash:     r.OutputHash,
+				counters: fmt.Sprint(r.FinalCounters),
+				reads:    r.Stats.SharedReads,
+				writes:   r.Stats.SharedWrites,
 			}}
 		})
 		for rep, out := range outs {

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/core"
+	clean "repro"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/workloads"
@@ -13,10 +13,13 @@ import (
 // Perf is the telemetry experiment: every performance-suite workload runs
 // twice — without detection (the Fig. 7 baseline) and under CLEAN with
 // deterministic synchronization — with a metrics registry attached, and
-// each run becomes one RunReport. With Options.JSONDir set, the collected
-// reports are written to BENCH_perf.json; the baseline runs use exactly
-// the Fig. 7 configuration, so the machine.shared_per_1k_ops gauge in the
-// file reproduces that figure's shared-access frequencies.
+// each run's RunReport, its variant relabeled "base" or "clean", lands in
+// the bench file. A CLEAN run's report also carries the detector's shadow
+// footprint (Report.Footprint) as the core.shadow_* gauges. With
+// Options.JSONDir set, the collected reports are written to
+// BENCH_perf.json; the baseline runs use exactly the Fig. 7
+// configuration, so the machine.shared_per_1k_ops gauge in the file
+// reproduces that figure's shared-access frequencies.
 func Perf(w io.Writer, o Options) error {
 	scale := o.scale(workloads.ScaleNative)
 	ye := o.yieldEvery()
@@ -29,51 +32,45 @@ func Perf(w io.Writer, o Options) error {
 	// byte-identical to a sequential run, except for the per-run
 	// ElapsedSeconds wall-clock field.
 	type job struct {
-		wl       workloads.Workload
-		label    string
-		detector string
-		cfg      runCfg
+		wl    workloads.Workload
+		label string
+		cfg   clean.Config
 	}
 	var jobs []job
 	for _, wl := range perfSuite() {
 		// The Fig. 7 configuration: no detector, nondeterministic
 		// scheduling, seed 0.
-		jobs = append(jobs, job{wl: wl, label: "base", detector: "none",
-			cfg: runCfg{yieldEvery: ye}})
+		jobs = append(jobs, job{wl: wl, label: "base", cfg: clean.Config{YieldEvery: ye}})
 		// CLEAN + Kendo: the paper's full software system, for the
 		// detector and wait-time counters.
-		jobs = append(jobs, job{wl: wl, label: "clean", detector: "clean",
-			cfg: runCfg{
-				detSync:    true,
-				yieldEvery: ye,
-				detector:   cleanDetector(core.Config{}),
-			}})
+		jobs = append(jobs, job{wl: wl, label: "clean", cfg: clean.Config{
+			DeterministicSync: true,
+			YieldEvery:        ye,
+			Detection:         clean.DetectCLEAN,
+		}})
 	}
-	type jobOut struct {
-		res runResult
-		rep telemetry.RunReport
-	}
-	outs := ForEachIndexed(o.workers(), len(jobs), func(i int) jobOut {
-		j := jobs[i]
-		reg := telemetry.NewRegistry()
-		j.cfg.metrics = reg
-		res := runWorkload(j.wl, scale, workloads.Modified, j.cfg)
-		if res.err != nil {
-			return jobOut{res: res}
-		}
-		rep := buildRunReport(j.wl, scale, workloads.Modified, j.detector,
-			j.cfg.seed, j.cfg.detSync, res, reg)
-		rep.Variant = j.label
-		return jobOut{res: res, rep: rep}
+	outs := ForEachIndexed(o.workers(), len(jobs), func(i int) *clean.Report {
+		cfg := jobs[i].cfg
+		cfg.Metrics = clean.NewMetrics()
+		return runVariant(jobs[i].wl, scale, workloads.Modified, cfg)
 	})
 
 	var freqs []float64
 	for i, j := range jobs {
-		out := outs[i]
-		if out.res.err != nil {
-			return fmt.Errorf("perf: %s/%s: %v", j.wl.Name, j.label, out.res.err)
+		r := outs[i]
+		if r.Err != nil {
+			return fmt.Errorf("perf: %s/%s: %v", j.wl.Name, j.label, r.Err)
 		}
-		rep := out.rep
+		rep := *r.Telemetry
+		rep.Variant = j.label
+		if j.cfg.Detection == clean.DetectCLEAN {
+			// The CLEAN detector's shadow footprint at run end.
+			g := rep.Metrics.Gauges
+			g["core.shadow_mapped_pages"] = float64(r.Footprint.MappedPages)
+			g["core.shadow_lines_compact"] = float64(r.Footprint.LinesCompact)
+			g["core.shadow_lines_expanded"] = float64(r.Footprint.LinesExpanded)
+			g["core.shadow_metadata_bytes"] = float64(r.Footprint.MetadataBytes)
+		}
 		bench.Runs = append(bench.Runs, rep)
 
 		perK := rep.Gauge("machine.shared_per_1k_ops")

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	clean "repro"
 	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
@@ -56,19 +57,19 @@ func TestPerfWritesBenchFile(t *testing.T) {
 			t.Fatalf("no base run for %s", name)
 		}
 		wl, _ := workloads.ByName(name)
-		res := runWorkload(wl, o.scale(workloads.ScaleNative), workloads.Modified,
-			runCfg{yieldEvery: o.yieldEvery()})
-		if res.err != nil {
-			t.Fatal(res.err)
+		res := runVariant(wl, o.scale(workloads.ScaleNative), workloads.Modified,
+			clean.Config{YieldEvery: o.yieldEvery()})
+		if res.Err != nil {
+			t.Fatal(res.Err)
 		}
-		wantFreq := float64(res.stats.SharedAccesses()) / float64(res.stats.Ops) * 1000
+		wantFreq := float64(res.Stats.SharedAccesses()) / float64(res.Stats.Ops) * 1000
 		if got := rep.Gauge("machine.shared_per_1k_ops"); math.Abs(got-wantFreq) > 1e-9 {
 			t.Errorf("%s shared_per_1k_ops = %v, want %v (Fig. 7)", name, got, wantFreq)
 		}
-		if got, want := rep.Counter("machine.shared_reads"), res.stats.SharedReads; got != want {
+		if got, want := rep.Counter("machine.shared_reads"), res.Stats.SharedReads; got != want {
 			t.Errorf("%s shared_reads = %d, want %d", name, got, want)
 		}
-		if got, want := rep.Counter("machine.ops"), res.stats.Ops; got != want {
+		if got, want := rep.Counter("machine.ops"), res.Stats.Ops; got != want {
 			t.Errorf("%s ops = %d, want %d", name, got, want)
 		}
 		if _, ok := bench.Summary["perf.shared_per_1k_ops."+name]; !ok {

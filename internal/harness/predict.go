@@ -8,7 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 
-	"repro/internal/core"
+	clean "repro"
 	"repro/internal/explore"
 	"repro/internal/gofront"
 	"repro/internal/machine"
@@ -105,7 +105,7 @@ func Predict(w io.Writer, o Options) error {
 		var exploreSteps uint64
 		res := explore.RunProgram(explore.Options{
 			MaxRuns:  predictExploreRuns,
-			Detector: cleanDetector(core.Config{}),
+			Detector: clean.Config{Detection: clean.DetectCLEAN}.NewDetector,
 		}, c.p, func(m *machine.Machine, err error) {
 			exploreSteps += m.Stats().Steps
 			var re *machine.RaceError

@@ -9,16 +9,14 @@ import (
 	"strings"
 
 	clean "repro"
-	"repro/internal/core"
+	apiv1 "repro/api/v1"
 	"repro/internal/faults"
-	"repro/internal/machine"
 	"repro/internal/stats"
-	"repro/internal/telemetry"
 	"repro/internal/vclock"
 	"repro/internal/workloads"
 )
 
-// DefaultMaxSteps is the scheduler-step budget runWorkload applies when a
+// DefaultMaxSteps is the scheduler-step budget runVariant applies when a
 // configuration does not choose its own: roughly 25x the largest
 // native-scale run, so a buggy or fault-degraded workload can never hang
 // cmd/cleanbench, while no legitimate experiment comes near it.
@@ -26,42 +24,27 @@ const DefaultMaxSteps = 200_000_000
 
 // faultReport is the outcome of one fault-injected run.
 type faultReport struct {
-	Err         error
-	Stats       machine.Stats
-	DetStats    core.Stats
-	Hash        uint64
-	Counters    []uint64
+	clean.Report
 	Fired       []string
-	Uncontained string // non-empty when a panic escaped machine.Run
-	// Metrics is the run's telemetry snapshot, serialized into the
-	// violation artifact's RunReport. Excluded from Fingerprint.
-	Metrics telemetry.Snapshot
+	Uncontained string // non-empty when a panic escaped the run
 }
 
-// Outcome classifies a fault-injected run for the resilience table.
+// repairs counts the epochs the CLEAN detector's sanity check repaired.
+func (r faultReport) repairs() uint64 { return r.Telemetry.Counter("core.metadata_repairs") }
+
+// Outcome classifies a fault-injected run for the resilience table: a
+// completed run is "clean", or "metadata-degraded" when it repaired
+// corrupted metadata; a failed one is classified by clean.OutcomeOf.
 func (r faultReport) Outcome() string {
-	if r.Uncontained != "" {
-		return "UNCONTAINED"
-	}
-	var race *machine.RaceError
-	var dead *machine.DeadlockError
-	var live *machine.LivelockError
-	var merr *machine.MachineError
 	switch {
-	case r.Err == nil && r.DetStats.MetadataRepairs > 0:
+	case r.Uncontained != "":
+		return "UNCONTAINED"
+	case r.Err == nil && r.repairs() > 0:
 		return "metadata-degraded"
 	case r.Err == nil:
 		return "clean"
-	case errors.As(r.Err, &race):
-		return "race-exception"
-	case errors.As(r.Err, &dead):
-		return "deadlock"
-	case errors.As(r.Err, &live):
-		return "livelock"
-	case errors.As(r.Err, &merr):
-		return "contained-crash"
 	}
-	return "error"
+	return clean.OutcomeOf(r.Err)
 }
 
 // Fingerprint renders everything observable about the run; replay of the
@@ -72,16 +55,16 @@ func (r faultReport) Fingerprint() string {
 		errStr = r.Err.Error()
 	}
 	return fmt.Sprintf("err=%q hash=%#x counters=%v fired=%v shared=%d ops=%d steps=%d crashes=%d spurious=%d stalled=%d rollovers=%d repairs=%d",
-		errStr, r.Hash, r.Counters, r.Fired,
+		errStr, r.OutputHash, r.FinalCounters, r.Fired,
 		r.Stats.SharedAccesses(), r.Stats.Ops, r.Stats.Steps,
 		r.Stats.Crashes, r.Stats.SpuriousWakes, r.Stats.StalledSteps,
-		r.Stats.Rollovers, r.DetStats.MetadataRepairs)
+		r.Stats.Rollovers, r.repairs())
 }
 
 // Dump extracts the diagnostic dump attached to the run's error, if any.
-func (r faultReport) Dump() *machine.Dump {
-	var live *machine.LivelockError
-	var merr *machine.MachineError
+func (r faultReport) Dump() *clean.Dump {
+	var live *clean.LivelockError
+	var merr *clean.MachineError
 	switch {
 	case errors.As(r.Err, &live):
 		return live.Dump
@@ -93,7 +76,7 @@ func (r faultReport) Dump() *machine.Dump {
 
 // runFaultOnce executes one workload under a fault plan with CLEAN +
 // deterministic synchronization and a step budget. Any panic that escapes
-// the machine is caught and reported as UNCONTAINED — the resilience
+// the run is caught and reported as UNCONTAINED — the resilience
 // acceptance is that this never happens.
 func runFaultOnce(wl workloads.Workload, scale workloads.Scale, variant workloads.Variant,
 	plan faults.Plan, seed int64, maxSteps uint64, yieldEvery int) (rep faultReport) {
@@ -102,35 +85,21 @@ func runFaultOnce(wl workloads.Workload, scale workloads.Scale, variant workload
 			rep.Uncontained = fmt.Sprint(r)
 		}
 	}()
-	layout := vclock.DefaultLayout
-	if cb := plan.ClockBits(); cb != 0 {
-		layout.ClockBits = cb
-	}
 	inj := faults.New(plan)
-	det := core.New(core.Config{Layout: layout})
-	inj.BindShadow(det.Epochs())
-	reg := telemetry.NewRegistry()
-	m := clean.NewMachineWithDetector(runCfg{
-		seed:       seed,
-		detSync:    true,
-		layout:     layout,
-		yieldEvery: yieldEvery,
-		maxSteps:   maxSteps,
-		injector:   inj,
-		metrics:    reg,
-	}.machineConfig(), det)
-	root, out := wl.Build(m, scale, variant)
-	err := m.Run(root)
-	rep.Err = err
-	rep.Stats = m.Stats()
-	rep.DetStats = det.Stats()
-	rep.Counters = m.FinalCounters()
-	rep.Fired = inj.Fired()
-	det.Stats().PublishTo(reg)
-	rep.Metrics = reg.Snapshot()
-	if err == nil {
-		rep.Hash = m.HashMem(out.Addr, out.Len)
+	cfg := clean.Config{
+		Seed:              seed,
+		DeterministicSync: true,
+		Detection:         clean.DetectCLEAN,
+		YieldEvery:        yieldEvery,
+		MaxSteps:          maxSteps,
+		FaultInjector:     inj,
+		Metrics:           clean.NewMetrics(),
 	}
+	if cb := plan.ClockBits(); cb != 0 {
+		cfg.ClockBits, cfg.TIDBits = cb, vclock.DefaultLayout.TIDBits
+	}
+	rep.Report = *runVariant(wl, scale, variant, cfg)
+	rep.Fired = inj.Fired()
 	return rep
 }
 
@@ -205,7 +174,7 @@ func Resilience(w io.Writer, o Options) error {
 				fired = rep.Stats.Rollovers > 0
 			}
 			tb.AddRow(wl.Name, kind.String(), outcome, yesNo(fired), yesNo(replayOK),
-				rep.DetStats.MetadataRepairs, rep.Stats.Rollovers, tries)
+				rep.repairs(), rep.Stats.Rollovers, tries)
 
 			cell := fmt.Sprintf("%s/%s", wl.Name, kind)
 			priorViolations := len(violations)
@@ -251,8 +220,8 @@ func yesNo(b bool) string {
 	return "no"
 }
 
-// writeFaultArtifact saves a diagnostic dump plus a machine-readable
-// RunReport for a violated cell so CI can upload both.
+// writeFaultArtifact saves a diagnostic dump plus, when the run returned
+// one, its RunReport for a violated cell so CI can upload both.
 func writeFaultArtifact(dir, cell string, plan faults.Plan, rep, replay faultReport) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return
@@ -261,24 +230,18 @@ func writeFaultArtifact(dir, cell string, plan faults.Plan, rep, replay faultRep
 	var b strings.Builder
 	fmt.Fprintf(&b, "cell: %s\nplan: %s (seed %d)\n\nrun:    %s\nreplay: %s\n",
 		cell, plan, plan.Seed, rep.Fingerprint(), replay.Fingerprint())
+	if rep.Uncontained != "" {
+		fmt.Fprintf(&b, "\nuncontained panic: %s\n", rep.Uncontained)
+	}
 	if d := rep.Dump(); d != nil {
 		fmt.Fprintf(&b, "\ndiagnostic dump:\n%s", d)
 	}
 	_ = os.WriteFile(filepath.Join(dir, base+".txt"), []byte(b.String()), 0o644)
 
-	jrep := telemetry.NewRunReport()
-	jrep.Workload = cell
-	jrep.Detector = "clean"
-	jrep.Seed = plan.Seed
-	jrep.DetSync = true
-	jrep.Outcome = rep.Outcome()
-	if rep.Err != nil {
-		jrep.Error = rep.Err.Error()
-	} else {
-		jrep.OutputHash = telemetry.FormatHash(rep.Hash)
+	if rep.Telemetry == nil {
+		return
 	}
-	jrep.Metrics = rep.Metrics
-	if data, err := jrep.Encode(); err == nil {
+	if data, err := apiv1.Encode(rep.Telemetry); err == nil {
 		_ = os.WriteFile(filepath.Join(dir, base+".report.json"), data, 0o644)
 	}
 }
@@ -326,8 +289,8 @@ func RunFault(w io.Writer, workload, scaleName, kindName string, modified bool, 
 	if rep.Err != nil {
 		fmt.Fprintf(w, "error:       %v\n", rep.Err)
 	}
-	if rep.DetStats.MetadataRepairs > 0 {
-		fmt.Fprintf(w, "metadata repairs (monitor-mode re-checks): %d\n", rep.DetStats.MetadataRepairs)
+	if n := rep.repairs(); n > 0 {
+		fmt.Fprintf(w, "metadata repairs (monitor-mode re-checks): %d\n", n)
 	}
 	if d := rep.Dump(); d != nil {
 		fmt.Fprintf(w, "\ndiagnostic dump:\n%s", d)

@@ -5,12 +5,8 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/fasttrack"
-	"repro/internal/machine"
-	"repro/internal/shadow"
+	clean "repro"
 	"repro/internal/stats"
-	"repro/internal/tsanlite"
 	"repro/internal/vclock"
 	"repro/internal/workloads"
 )
@@ -27,21 +23,22 @@ func Fig6(w io.Writer, o Options) error {
 	tb := stats.NewTable("benchmark", "detsync", "detect", "full CLEAN", "±full")
 	var dsAll, detAll, fullAll []float64
 	for _, wl := range perfSuite() {
-		time1 := func(cfg runCfg) (float64, float64) {
-			cfg.yieldEvery = ye
+		time1 := func(cfg clean.Config) (float64, float64) {
+			cfg.YieldEvery = ye
 			return meanSeconds(o.workers(), reps, func(rep int) time.Duration {
-				cfg.seed = int64(rep)
-				r := runWorkload(wl, scale, workloads.Modified, cfg)
-				if r.err != nil {
-					panic(fmt.Sprintf("fig6: %s: %v", wl.Name, r.err))
+				c := cfg
+				c.Seed = int64(rep)
+				r := runVariant(wl, scale, workloads.Modified, c)
+				if r.Err != nil {
+					panic(fmt.Sprintf("fig6: %s: %v", wl.Name, r.Err))
 				}
-				return r.elapsed
+				return r.Elapsed
 			})
 		}
-		base, _ := time1(runCfg{})
-		ds, _ := time1(runCfg{detSync: true})
-		det, _ := time1(runCfg{detector: cleanDetector(core.Config{})})
-		full, fullCI := time1(runCfg{detSync: true, detector: cleanDetector(core.Config{})})
+		base, _ := time1(clean.Config{})
+		ds, _ := time1(clean.Config{DeterministicSync: true})
+		det, _ := time1(clean.Config{Detection: clean.DetectCLEAN})
+		full, fullCI := time1(clean.Config{DeterministicSync: true, Detection: clean.DetectCLEAN})
 		dsN, detN, fullN := ds/base, det/base, full/base
 		dsAll = append(dsAll, dsN)
 		detAll = append(detAll, detN)
@@ -64,16 +61,16 @@ func Fig7(w io.Writer, o Options) error {
 	// One independent run per workload: fan across the suite, report in
 	// suite order. Frequencies are deterministic, so the table is
 	// byte-identical however the runs were scheduled.
-	results := ForEachIndexed(o.workers(), len(suite), func(i int) runResult {
-		return runWorkload(suite[i], scale, workloads.Modified, runCfg{yieldEvery: o.yieldEvery()})
+	results := ForEachIndexed(o.workers(), len(suite), func(i int) *clean.Report {
+		return runVariant(suite[i], scale, workloads.Modified, clean.Config{YieldEvery: o.yieldEvery()})
 	})
 	for i, wl := range suite {
 		r := results[i]
-		if r.err != nil {
-			return fmt.Errorf("fig7: %s: %v", wl.Name, r.err)
+		if r.Err != nil {
+			return fmt.Errorf("fig7: %s: %v", wl.Name, r.Err)
 		}
-		freq := float64(r.stats.SharedAccesses()) / float64(r.stats.Ops) * 1000
-		tb.AddRow(wl.Name, freq, r.stats.SharedAccesses(), r.stats.Ops)
+		freq := float64(r.Stats.SharedAccesses()) / float64(r.Stats.Ops) * 1000
+		tb.AddRow(wl.Name, freq, r.Stats.SharedAccesses(), r.Stats.Ops)
 	}
 	_, err := fmt.Fprint(w, tb.String())
 	return err
@@ -91,35 +88,34 @@ func Fig8(w io.Writer, o Options) error {
 	tb := stats.NewTable("benchmark", "no-vec", "vec", "speedup", "≥4B %", "same-epoch %")
 	var speedups []float64
 	for _, wl := range perfSuite() {
-		time1 := func(cfg core.Config) float64 {
+		time1 := func(noVec bool) float64 {
 			m, _ := meanSeconds(o.workers(), reps, func(rep int) time.Duration {
-				r := runWorkload(wl, scale, workloads.Modified, runCfg{
-					seed: int64(rep), yieldEvery: ye,
-					detector: cleanDetector(cfg),
+				r := runVariant(wl, scale, workloads.Modified, clean.Config{
+					Seed: int64(rep), YieldEvery: ye,
+					Detection: clean.DetectCLEAN, DisableMultibyteOpt: noVec,
 				})
-				if r.err != nil {
-					panic(fmt.Sprintf("fig8: %s: %v", wl.Name, r.err))
+				if r.Err != nil {
+					panic(fmt.Sprintf("fig8: %s: %v", wl.Name, r.Err))
 				}
-				return r.elapsed
+				return r.Elapsed
 			})
 			return m
 		}
 		base, _ := meanSeconds(o.workers(), reps, func(rep int) time.Duration {
-			r := runWorkload(wl, scale, workloads.Modified, runCfg{seed: int64(rep), yieldEvery: ye})
-			return r.elapsed
+			return runVariant(wl, scale, workloads.Modified, clean.Config{Seed: int64(rep), YieldEvery: ye}).Elapsed
 		})
-		noVec := time1(core.Config{DisableMultibyte: true})
-		vec := time1(core.Config{})
-		// Detector stats from one instrumented run.
-		r := runWorkload(wl, scale, workloads.Modified, runCfg{
-			yieldEvery: ye, detector: cleanDetector(core.Config{}),
+		noVec := time1(true)
+		vec := time1(false)
+		// Detector counters from one instrumented run.
+		r := runVariant(wl, scale, workloads.Modified, clean.Config{
+			YieldEvery: ye, Detection: clean.DetectCLEAN, Metrics: clean.NewMetrics(),
 		})
-		if r.err != nil {
-			return fmt.Errorf("fig8: %s: %v", wl.Name, r.err)
+		if r.Err != nil {
+			return fmt.Errorf("fig8: %s: %v", wl.Name, r.Err)
 		}
 		var wide, same float64
 		var total uint64
-		for sz, cnt := range r.stats.AccessBySize {
+		for sz, cnt := range r.Stats.AccessBySize {
 			total += cnt
 			if sz >= 4 {
 				wide += float64(cnt)
@@ -128,8 +124,8 @@ func Fig8(w io.Writer, o Options) error {
 		if total > 0 {
 			wide = wide / float64(total) * 100
 		}
-		if r.detStats != nil && r.detStats.MultibyteAccesses > 0 {
-			same = float64(r.detStats.MultibyteSameEpoch) / float64(r.detStats.MultibyteAccesses) * 100
+		if n := r.Telemetry.Counter("core.multibyte_accesses"); n > 0 {
+			same = float64(r.Telemetry.Counter("core.multibyte_same_epoch")) / float64(n) * 100
 		}
 		sp := noVec / vec
 		speedups = append(speedups, sp)
@@ -154,51 +150,41 @@ func Table1(w io.Writer, o Options) error {
 	narrow := vclock.Layout{TIDBits: 8, ClockBits: 10}
 	wide := vclock.WideClockLayout
 	tb := stats.NewTable("benchmark", "rollovers/s", "exec time decrease (28-bit)", "shadow meta")
+	// run is one full-CLEAN run of wl under the epoch layout l.
+	run := func(wl workloads.Workload, l vclock.Layout, rep int) *clean.Report {
+		r := runVariant(wl, scale, workloads.Modified, clean.Config{
+			Seed: int64(rep), YieldEvery: ye, DeterministicSync: true,
+			Detection: clean.DetectCLEAN, ClockBits: l.ClockBits, TIDBits: l.TIDBits,
+		})
+		if r.Err != nil {
+			panic(fmt.Sprintf("table1: %s: %v", wl.Name, r.Err))
+		}
+		return r
+	}
 	for _, wl := range perfSuite() {
 		// The narrow runs are fanned out by index so the per-rep rollover
 		// counts can be summed afterwards without a shared accumulator.
-		type narrowRun struct {
-			elapsed   time.Duration
-			rollovers uint64
-			footprint shadow.Footprint
-		}
-		runs := ForEachIndexed(o.workers(), reps, func(rep int) narrowRun {
-			r := runWorkload(wl, scale, workloads.Modified, runCfg{
-				seed: int64(rep), yieldEvery: ye, detSync: true,
-				layout:   narrow,
-				detector: cleanDetector(core.Config{Layout: narrow}),
-			})
-			if r.err != nil {
-				panic(fmt.Sprintf("table1: %s: %v", wl.Name, r.err))
-			}
-			return narrowRun{elapsed: r.elapsed, rollovers: r.stats.Rollovers, footprint: r.footprint}
+		runs := ForEachIndexed(o.workers(), reps, func(rep int) *clean.Report {
+			return run(wl, narrow, rep)
 		})
 		var rollovers uint64
 		secs := make([]float64, 0, reps)
-		for _, nr := range runs {
-			rollovers += nr.rollovers
-			secs = append(secs, nr.elapsed.Seconds())
+		for _, r := range runs {
+			rollovers += r.Stats.Rollovers
+			secs = append(secs, r.Elapsed.Seconds())
 		}
 		narrowT := stats.Mean(secs)
 		if rollovers == 0 {
 			continue
 		}
 		wideT, _ := meanSeconds(o.workers(), reps, func(rep int) time.Duration {
-			r := runWorkload(wl, scale, workloads.Modified, runCfg{
-				seed: int64(rep), yieldEvery: ye, detSync: true,
-				layout:   wide,
-				detector: cleanDetector(core.Config{Layout: wide}),
-			})
-			if r.err != nil {
-				panic(fmt.Sprintf("table1: %s: %v", wl.Name, r.err))
-			}
-			return r.elapsed
+			return run(wl, wide, rep).Elapsed
 		})
 		perSec := float64(rollovers) / float64(reps) / narrowT
 		decrease := (narrowT - wideT) / narrowT * 100
 		// Footprint of the rep-0 run (deterministic under detSync): how
 		// much of the adaptive shadow the workload left expanded at exit.
-		fp := runs[0].footprint
+		fp := runs[0].Footprint
 		tb.AddRow(wl.Name, perSec, fmt.Sprintf("%.1f%%", decrease),
 			fmt.Sprintf("%dpg/%dexp/%.1fKiB", fp.MappedPages, fp.LinesExpanded,
 				float64(fp.MetadataBytes)/1024))
@@ -220,38 +206,34 @@ func Ablation(w io.Writer, o Options) error {
 	var cl, ft, ts []float64
 	for _, wl := range perfSuite() {
 		base, _ := meanSeconds(o.workers(), reps, func(rep int) time.Duration {
-			return runWorkload(wl, scale, workloads.Modified, runCfg{seed: int64(rep), yieldEvery: ye}).elapsed
+			return runVariant(wl, scale, workloads.Modified, clean.Config{Seed: int64(rep), YieldEvery: ye}).Elapsed
 		})
-		time1 := func(det func() machine.Detector) float64 {
+		time1 := func(d clean.Detection) float64 {
 			m, _ := meanSeconds(o.workers(), reps, func(rep int) time.Duration {
-				r := runWorkload(wl, scale, workloads.Modified, runCfg{
-					seed: int64(rep), yieldEvery: ye, detector: det,
+				r := runVariant(wl, scale, workloads.Modified, clean.Config{
+					Seed: int64(rep), YieldEvery: ye, Detection: d,
 				})
-				if r.err != nil {
-					panic(fmt.Sprintf("ablation: %s: %v", wl.Name, r.err))
+				if r.Err != nil {
+					panic(fmt.Sprintf("ablation: %s: %v", wl.Name, r.Err))
 				}
-				return r.elapsed
+				return r.Elapsed
 			})
 			return m
 		}
-		cN := time1(cleanDetector(core.Config{})) / base
-		fN := time1(func() machine.Detector { return fasttrack.New(fasttrack.Config{}) }) / base
-		tN := time1(func() machine.Detector { return tsanlite.New(tsanlite.Config{}) }) / base
-		// Metadata comparison from single runs. CLEAN's footprint is
-		// captured at run end (runWorkload recycles the shadow pages
-		// afterwards); the adaptive region charges one epoch per compact
-		// line plus per-byte entries only for expanded lines.
-		ftDet := fasttrack.New(fasttrack.Config{})
-		rf := runWorkload(wl, scale, workloads.Modified, runCfg{yieldEvery: ye,
-			detector: func() machine.Detector { return ftDet }})
-		rc := runWorkload(wl, scale, workloads.Modified, runCfg{yieldEvery: ye,
-			detector: cleanDetector(core.Config{})})
-		if rf.err != nil || rc.err != nil {
-			return fmt.Errorf("ablation: %s: %v / %v", wl.Name, rf.err, rc.err)
+		cN := time1(clean.DetectCLEAN) / base
+		fN := time1(clean.DetectFastTrack) / base
+		tN := time1(clean.DetectTSanLite) / base
+		// Metadata comparison from single runs, each footprint read at run
+		// end: the adaptive region charges one epoch per compact line plus
+		// per-byte entries only for expanded lines.
+		rf := runVariant(wl, scale, workloads.Modified, clean.Config{YieldEvery: ye, Detection: clean.DetectFastTrack})
+		rc := runVariant(wl, scale, workloads.Modified, clean.Config{YieldEvery: ye, Detection: clean.DetectCLEAN})
+		if rf.Err != nil || rc.Err != nil {
+			return fmt.Errorf("ablation: %s: %v / %v", wl.Name, rf.Err, rc.Err)
 		}
 		ratio := 0.0
-		if cb := rc.footprint.MetadataBytes; cb > 0 {
-			ratio = float64(ftDet.MetadataBytes()) / float64(cb)
+		if cb := rc.Footprint.MetadataBytes; cb > 0 {
+			ratio = float64(rf.Footprint.MetadataBytes) / float64(cb)
 		}
 		cl = append(cl, cN)
 		ft = append(ft, fN)

@@ -41,7 +41,7 @@ func (s *stubInjector) SpuriousWake(step uint64, tid int) bool {
 	return false
 }
 
-func (s *stubInjector) OnSharedAccess(n, addr uint64) { s.sharedAccesses = n }
+func (s *stubInjector) OnSharedAccess(n, addr uint64, _ Detector) { s.sharedAccesses = n }
 
 func TestLivelockErrorNamesStarvedThread(t *testing.T) {
 	// Spinners burn the budget under Kendo while one thread waits on a

@@ -158,10 +158,11 @@ type Injector interface {
 	// SpuriousWake reports whether the condition-blocked thread tid
 	// should be woken without a signal at step.
 	SpuriousWake(step uint64, tid int) bool
-	// OnSharedAccess is called before the race check of the n-th shared
-	// access (1-based) at addr; implementations may corrupt detector
-	// metadata here (shadow bit flips).
-	OnSharedAccess(n, addr uint64)
+	// OnSharedAccess is called before det's race check of the n-th
+	// shared access (1-based) at addr; implementations may corrupt det's
+	// metadata here (shadow bit flips). det is the machine's detector,
+	// nil when it runs without one.
+	OnSharedAccess(n, addr uint64, det Detector)
 }
 
 // Stats aggregates the counters the evaluation section reports.

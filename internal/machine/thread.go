@@ -237,7 +237,7 @@ func (t *Thread) access(addr uint64, size int, write bool, v uint64) uint64 {
 		m.sharedSeq++
 		if inj := m.cfg.Injector; inj != nil && m.stopErr == nil {
 			// Metadata-corruption faults fire just before the check.
-			inj.OnSharedAccess(m.sharedSeq, addr)
+			inj.OnSharedAccess(m.sharedSeq, addr, m.cfg.Detector)
 		}
 	}
 	if m.cfg.Tracer != nil {

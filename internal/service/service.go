@@ -801,12 +801,11 @@ func (s *Server) collectSnapshot() telemetry.Snapshot {
 // gauges sampled at collection time, the store's journal telemetry
 // merged in — as the timestamped /metrics JSON document.
 func (s *Server) Metrics() *apiv1.Metrics {
-	snap := s.collectSnapshot()
 	return &apiv1.Metrics{
 		Schema:      apiv1.SchemaVersion,
 		Kind:        apiv1.KindMetrics,
 		CollectedAt: time.Now().UTC().Format(time.RFC3339Nano),
-		Metrics:     snap.V1(),
+		Metrics:     s.collectSnapshot(),
 	}
 }
 
@@ -1173,9 +1172,7 @@ func (s *Server) run(j *job, det clean.Detection, seed int64, maxSteps uint64) a
 		// certified reorderings and staticrace's static witnesses.
 		res.Witness.Schedule = staticrace.V1Schedule(j.prog, j.spec.Schedule...)
 	}
-	if rep.Telemetry != nil {
-		res.Report = rep.Telemetry.V1()
-	}
+	res.Report = rep.Telemetry
 	return res
 }
 

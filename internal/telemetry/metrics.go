@@ -1,8 +1,9 @@
 // Package telemetry is the observability layer of the CLEAN reproduction:
 // a low-overhead metrics registry (counters, gauges, bounded histograms),
 // a timeline tracer that renders runs as Chrome trace-event / Perfetto
-// JSON, and a schema-versioned machine-readable RunReport that unifies
-// machine, detector, Kendo and hardware-simulator statistics per run.
+// JSON, and BENCH_*.json files of RunReports — the api/v1 document that
+// unifies machine, detector, Kendo and hardware-simulator statistics per
+// run.
 //
 // The paper's evaluation (§6) is built from exactly these quantities —
 // shared-access frequency (Fig. 7), memory-access breakdowns (Fig. 10),
@@ -106,20 +107,6 @@ func (h *Histogram) Percentile(p float64) float64 {
 	return h.h.Percentile(p)
 }
 
-// HistogramSnapshot is the serializable state of a Histogram.
-type HistogramSnapshot struct {
-	Count  uint64    `json:"count"`
-	Sum    float64   `json:"sum"`
-	Min    float64   `json:"min"`
-	Max    float64   `json:"max"`
-	Mean   float64   `json:"mean"`
-	P50    float64   `json:"p50"`
-	P95    float64   `json:"p95"`
-	P99    float64   `json:"p99"`
-	Bounds []float64 `json:"bounds"`
-	Counts []uint64  `json:"counts"`
-}
-
 // Snapshot captures the histogram's current state (zero value on nil).
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil {
@@ -202,14 +189,8 @@ func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
 	return h
 }
 
-// Snapshot is the serializable state of a Registry.
-type Snapshot struct {
-	Counters   map[string]uint64            `json:"counters,omitempty"`
-	Gauges     map[string]float64           `json:"gauges,omitempty"`
-	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-}
-
-// Snapshot captures every metric's current value.
+// Snapshot captures every metric's current value in its serializable
+// form.
 func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
 	if r == nil {

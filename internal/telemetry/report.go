@@ -1,93 +1,30 @@
 package telemetry
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+
+	apiv1 "repro/api/v1"
 )
 
-// SchemaVersion is the RunReport/BenchFile schema version. Decoders reject
-// other versions: downstream tooling (the BENCH_*.json perf trajectory,
-// CI artifact consumers) must fail loudly on a format change rather than
-// misread it, so bump this whenever a field changes meaning.
-const SchemaVersion = 1
-
-// Report kinds, stored in the Kind field as a second self-description
-// guard alongside the schema version.
-const (
-	KindRunReport = "clean.run-report"
-	KindBenchFile = "clean.bench"
+// RunReport is the machine-readable record of one run — identity,
+// outcome and the registry snapshot — in its one schema-versioned form,
+// the api/v1 wire type. Snapshot and HistogramSnapshot are likewise the
+// wire types, so a registry snapshot drops into a report unconverted.
+type (
+	RunReport         = apiv1.RunReport
+	Snapshot          = apiv1.MetricsSnapshot
+	HistogramSnapshot = apiv1.HistogramSnapshot
 )
 
-// RunReport is the machine-readable record of one run: identity (what ran,
-// under which configuration), outcome, and every telemetry metric —
-// machine counters, detector work, the Kendo breakdown, hwsim stats — in
-// one schema-versioned document.
-type RunReport struct {
-	Schema   int    `json:"schema"`
-	Kind     string `json:"kind"`
-	Workload string `json:"workload,omitempty"`
-	Scale    string `json:"scale,omitempty"`
-	Variant  string `json:"variant,omitempty"`
-	Detector string `json:"detector,omitempty"`
-	Seed     int64  `json:"seed"`
-	DetSync  bool   `json:"detsync"`
-	// Outcome classifies the run: "completed", "race-exception",
-	// "deadlock", "livelock", "contained-crash", or "error".
-	Outcome string `json:"outcome"`
-	// Error is the error string for non-completed runs.
-	Error string `json:"error,omitempty"`
-	// ElapsedSeconds is wall-clock run time. Excluded from Fingerprint —
-	// it is the one nondeterministic field.
-	ElapsedSeconds float64 `json:"elapsed_seconds"`
-	// OutputHash is the workload output fingerprint in hex ("0x…"), empty
-	// for runs that did not complete. Hex instead of a JSON number: the
-	// value is a full 64-bit hash and float64 readers would corrupt it.
-	OutputHash string `json:"output_hash,omitempty"`
-	// Metrics is the registry snapshot.
-	Metrics Snapshot `json:"metrics"`
-}
-
-// NewRunReport returns a report pre-stamped with the current schema.
-func NewRunReport() *RunReport {
-	return &RunReport{Schema: SchemaVersion, Kind: KindRunReport}
-}
+// KindBenchFile stamps a BenchFile's Kind field, a second
+// self-description guard alongside the api/v1 schema version.
+const KindBenchFile = "clean.bench"
 
 // FormatHash renders an output hash for RunReport.OutputHash.
 func FormatHash(h uint64) string { return fmt.Sprintf("%#016x", h) }
-
-// Encode renders the report as deterministic, indented JSON (Go serializes
-// maps with sorted keys).
-func (r *RunReport) Encode() ([]byte, error) {
-	return marshal(r)
-}
-
-// DecodeRunReport parses and validates an encoded report: unknown fields,
-// a wrong kind, or a schema-version mismatch are errors.
-func DecodeRunReport(data []byte) (*RunReport, error) {
-	var r RunReport
-	if err := unmarshalStrict(data, &r); err != nil {
-		return nil, fmt.Errorf("telemetry: decoding run report: %w", err)
-	}
-	if err := checkHeader(r.Schema, r.Kind, KindRunReport); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-// Counter returns a counter from the report's metrics (0 when absent), so
-// consumers read `rep.Counter("machine.shared_reads")` without nil checks.
-func (r *RunReport) Counter(name string) uint64 {
-	return r.Metrics.Counters[name]
-}
-
-// Gauge returns a gauge from the report's metrics (0 when absent).
-func (r *RunReport) Gauge(name string) float64 {
-	return r.Metrics.Gauges[name]
-}
 
 // BenchFile is the on-disk format of BENCH_<experiment>.json: one
 // experiment's machine-readable results, a list of RunReports plus
@@ -105,7 +42,7 @@ type BenchFile struct {
 
 // NewBenchFile returns an empty bench file for the named experiment.
 func NewBenchFile(experiment string) *BenchFile {
-	return &BenchFile{Schema: SchemaVersion, Kind: KindBenchFile, Experiment: experiment}
+	return &BenchFile{Schema: apiv1.SchemaVersion, Kind: KindBenchFile, Experiment: experiment}
 }
 
 // AddSummary records an experiment-level scalar.
@@ -118,20 +55,22 @@ func (f *BenchFile) AddSummary(name string, v float64) {
 
 // Encode renders the bench file as deterministic, indented JSON.
 func (f *BenchFile) Encode() ([]byte, error) {
-	return marshal(f)
+	return apiv1.Encode(f)
 }
 
-// DecodeBenchFile parses and validates an encoded bench file.
+// DecodeBenchFile parses and validates an encoded bench file: unknown
+// fields, a wrong kind or a schema-version mismatch, in the file or in
+// any of its runs, are errors.
 func DecodeBenchFile(data []byte) (*BenchFile, error) {
 	var f BenchFile
-	if err := unmarshalStrict(data, &f); err != nil {
+	if err := apiv1.DecodeStrict(data, &f); err != nil {
 		return nil, fmt.Errorf("telemetry: decoding bench file: %w", err)
 	}
-	if err := checkHeader(f.Schema, f.Kind, KindBenchFile); err != nil {
+	if err := apiv1.CheckHeader(f.Schema, f.Kind, KindBenchFile); err != nil {
 		return nil, err
 	}
 	for i := range f.Runs {
-		if err := checkHeader(f.Runs[i].Schema, f.Runs[i].Kind, KindRunReport); err != nil {
+		if err := apiv1.CheckHeader(f.Runs[i].Schema, f.Runs[i].Kind, apiv1.KindRunReport); err != nil {
 			return nil, fmt.Errorf("telemetry: run %d: %w", i, err)
 		}
 	}
@@ -174,28 +113,4 @@ func (f *BenchFile) SortRuns() {
 		}
 		return a.Seed < b.Seed
 	})
-}
-
-func checkHeader(schema int, kind, wantKind string) error {
-	if schema != SchemaVersion {
-		return fmt.Errorf("telemetry: schema version %d, this reader expects %d", schema, SchemaVersion)
-	}
-	if kind != wantKind {
-		return fmt.Errorf("telemetry: document kind %q, want %q", kind, wantKind)
-	}
-	return nil
-}
-
-func marshal(v interface{}) ([]byte, error) {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
-}
-
-func unmarshalStrict(data []byte, v interface{}) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
 }

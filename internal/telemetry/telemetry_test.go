@@ -5,6 +5,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	apiv1 "repro/api/v1"
 )
 
 func TestRegistryCountersGaugesHistograms(t *testing.T) {
@@ -196,6 +198,9 @@ func TestTimelineNilAndClamping(t *testing.T) {
 	}
 }
 
+// TestRunReportRoundTrip: a registry snapshot drops into the api/v1 run
+// report unconverted, and the report survives the strict decoder and
+// re-encodes to identical bytes.
 func TestRunReportRoundTrip(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("machine.shared_reads").Add(123)
@@ -203,7 +208,7 @@ func TestRunReportRoundTrip(t *testing.T) {
 	reg.Gauge("perf.shared_per_1k_ops").Set(63.5)
 	reg.Histogram("kendo.wait_ops", 1, 10, 100).Observe(7)
 
-	r := NewRunReport()
+	r := apiv1.NewRunReport()
 	r.Workload = "fft"
 	r.Scale = "test"
 	r.Variant = "modified"
@@ -215,11 +220,11 @@ func TestRunReportRoundTrip(t *testing.T) {
 	r.OutputHash = FormatHash(0xdeadbeefcafef00d)
 	r.Metrics = reg.Snapshot()
 
-	data, err := r.Encode()
+	data, err := apiv1.Encode(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeRunReport(data)
+	got, err := apiv1.DecodeRunReport(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +246,7 @@ func TestRunReportRoundTrip(t *testing.T) {
 
 	// Re-encoding the decoded report must be byte-identical: the format is
 	// deterministic end to end.
-	data2, err := got.Encode()
+	data2, err := apiv1.Encode(got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,24 +255,33 @@ func TestRunReportRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsWrongSchemaAndKind: a bench file is checked like the
+// run reports it holds — a wrong schema or kind, on the file or on a run,
+// and unknown fields are errors.
 func TestDecodeRejectsWrongSchemaAndKind(t *testing.T) {
-	r := NewRunReport()
+	f := NewBenchFile("perf")
+	r := apiv1.NewRunReport()
 	r.Outcome = "completed"
-	data, _ := r.Encode()
+	f.Runs = append(f.Runs, *r)
+	data, _ := f.Encode()
 
 	bad := strings.Replace(string(data), `"schema": 1`, `"schema": 999`, 1)
-	if _, err := DecodeRunReport([]byte(bad)); err == nil || !strings.Contains(err.Error(), "schema") {
+	if _, err := DecodeBenchFile([]byte(bad)); err == nil || !strings.Contains(err.Error(), "schema") {
 		t.Fatalf("future schema accepted: %v", err)
 	}
-	bad = strings.Replace(string(data), KindRunReport, "something.else", 1)
-	if _, err := DecodeRunReport([]byte(bad)); err == nil {
+	bad = strings.Replace(string(data), KindBenchFile, "something.else", 1)
+	if _, err := DecodeBenchFile([]byte(bad)); err == nil {
 		t.Fatal("wrong kind accepted")
 	}
+	bad = strings.Replace(string(data), apiv1.KindRunReport, "something.else", 1)
+	if _, err := DecodeBenchFile([]byte(bad)); err == nil {
+		t.Fatal("wrong run kind accepted")
+	}
 	bad = strings.Replace(string(data), `"outcome"`, `"unknown_field"`, 1)
-	if _, err := DecodeRunReport([]byte(bad)); err == nil {
+	if _, err := DecodeBenchFile([]byte(bad)); err == nil {
 		t.Fatal("unknown field accepted")
 	}
-	if _, err := DecodeRunReport([]byte("{")); err == nil {
+	if _, err := DecodeBenchFile([]byte("{")); err == nil {
 		t.Fatal("truncated JSON accepted")
 	}
 }
@@ -275,7 +289,7 @@ func TestDecodeRejectsWrongSchemaAndKind(t *testing.T) {
 func TestBenchFileRoundTripAndSort(t *testing.T) {
 	f := NewBenchFile("perf")
 	for _, wl := range []string{"lu_cb", "fft", "dedup"} {
-		r := NewRunReport()
+		r := apiv1.NewRunReport()
 		r.Workload = wl
 		r.Outcome = "completed"
 		f.Runs = append(f.Runs, *r)

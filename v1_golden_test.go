@@ -36,7 +36,7 @@ func TestV1ReportGolden(t *testing.T) {
 		t.Fatalf("run failed: %v", rep.Err)
 	}
 	rep.Telemetry.ElapsedSeconds = 0
-	got, err := apiv1.Encode(rep.Telemetry.V1())
+	got, err := apiv1.Encode(rep.Telemetry)
 	if err != nil {
 		t.Fatal(err)
 	}
