@@ -30,7 +30,7 @@ func main() {
 		exp      = flag.String("exp", "all", "experiment to run (see -list)")
 		scale    = flag.String("scale", "", "input scale override: test, simsmall, simlarge, native")
 		reps     = flag.Int("reps", 0, "repetitions per measurement (0 = per-experiment default)")
-		yieldEv  = flag.Int("yield", 0, "machine scheduling granularity (0 = default 8)")
+		yieldEv  = flag.Int("yield", 0, "machine scheduling granularity (0 = default 32)")
 		list     = flag.Bool("list", false, "list experiments and exit")
 		verbose  = flag.Bool("v", false, "verbose output")
 		artDir   = flag.String("artifacts", "", "directory for diagnostic dumps of resilience violations")

@@ -212,6 +212,103 @@ func TestTracerChannelEventsAtHappensBeforePoints(t *testing.T) {
 	}
 }
 
+// TestTracerCondWaitReleasesBeforeWaiting: a condvar handoff reports
+// each thread's acquires and releases of the mutex as a balanced,
+// alternating sequence, and a wait reports its release of the mutex
+// before the wait itself. The root holds the mutex until it waits, so
+// it waits at least once under every schedule.
+func TestTracerCondWaitReleasesBeforeWaiting(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		tr := &fullTracer{}
+		m := New(Config{Seed: seed, Tracer: tr})
+		flag := m.AllocShared(8, 8)
+		l := m.NewMutex()
+		c := m.NewCond()
+		if err := m.Run(func(th *Thread) {
+			th.Lock(l)
+			p := th.Spawn(func(p *Thread) {
+				p.Lock(l)
+				p.StoreU64(flag, 1)
+				p.Signal(c)
+				p.Unlock(l)
+			})
+			for th.LoadU64(flag) == 0 {
+				th.CondWait(c, l)
+			}
+			th.Unlock(l)
+			th.Join(p)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		last := make(map[string]string) // thread -> its previous sync kind
+		held := make(map[string]bool)
+		waits := 0
+		for _, e := range tr.log {
+			f := strings.Fields(e)
+			seq, kind := f[0], f[1]
+			switch kind {
+			case "acquire", "release":
+				if held[seq] == (kind == "acquire") {
+					t.Fatalf("seed %d: %s %s with the mutex held=%v; log %v", seed, seq, kind, held[seq], tr.log)
+				}
+				held[seq] = kind == "acquire"
+			case "condwait":
+				waits++
+				if last[seq] != "release" {
+					t.Fatalf("seed %d: %s waits after %q, want its release first; log %v", seed, seq, last[seq], tr.log)
+				}
+			}
+			last[seq] = kind
+		}
+		for seq, h := range held {
+			if h {
+				t.Fatalf("seed %d: %s ends holding the mutex; log %v", seed, seq, tr.log)
+			}
+		}
+		if waits == 0 {
+			t.Fatalf("seed %d: no wait reported; log %v", seed, tr.log)
+		}
+	}
+}
+
+// TestTracerBarrierEpisodes: each arrival reports its position in the
+// episode and the party size, and positions restart at 0 for the next
+// episode on the same barrier.
+func TestTracerBarrierEpisodes(t *testing.T) {
+	const n = 3
+	for seed := int64(0); seed < 20; seed++ {
+		tr := &fullTracer{}
+		m := New(Config{Seed: seed, Tracer: tr})
+		b := m.NewBarrier(n)
+		phases := func(th *Thread) {
+			th.BarrierWait(b)
+			th.BarrierWait(b)
+		}
+		if err := m.Run(func(th *Thread) {
+			var kids []*Thread
+			for i := 1; i < n; i++ {
+				kids = append(kids, th.Spawn(phases))
+			}
+			phases(th)
+			for _, k := range kids {
+				th.Join(k)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, e := range tr.log {
+			if f := strings.Fields(e); f[1] == "barrier" {
+				got = append(got, f[2])
+			}
+		}
+		want := "0/3 1/3 2/3 0/3 1/3 2/3"
+		if s := strings.Join(got, " "); s != want {
+			t.Fatalf("seed %d: barrier arrivals %s, want %s", seed, s, want)
+		}
+	}
+}
+
 func TestSyncEventString(t *testing.T) {
 	if SyncAcquire.String() != "acquire" || SyncBarrier.String() != "barrier" {
 		t.Error("SyncEvent names wrong")

@@ -87,7 +87,10 @@ type Tracer interface {
 	// position pos and publishes its message), a receive at completion
 	// (SyncChanRecv). A send is reported again when it completes
 	// (SyncChanSendDone), having joined the receive that freed its
-	// capacity slot. pos and capacity are zero for non-channel events.
+	// capacity slot. A barrier arrival (SyncBarrier) carries its
+	// position in the current episode as pos and the party size as
+	// capacity; an episode is the arrivals at positions 0 through
+	// capacity-1. pos and capacity are zero for every other event.
 	Sync(t *Thread, kind SyncEvent, obj uint64, pos, capacity int)
 	// Work reports n units of private computation (non-memory
 	// instructions, 1 cycle each in the paper's simple-core model).

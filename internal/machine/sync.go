@@ -243,7 +243,10 @@ func holderID(l *Mutex) interface{} {
 // CondWait atomically releases l and suspends t until a Signal or
 // Broadcast wakes it, then re-acquires l. Spurious wakeups occur only
 // under fault injection (machine.Injector); as with pthreads, robust
-// workloads re-check their predicate in a loop around CondWait.
+// workloads re-check their predicate in a loop around CondWait. The
+// tracer sees the release (SyncRelease on l) before the wait
+// (SyncCondWait on c), and the re-acquisition as an ordinary Lock, so
+// every thread's acquires and releases of l stay balanced.
 func (t *Thread) CondWait(c *Cond, l *Mutex) {
 	m := t.m
 	t.syncEnter()
@@ -252,6 +255,7 @@ func (t *Thread) CondWait(c *Cond, l *Mutex) {
 	}
 	t.unlockLocked(l)
 	t.syncDone()
+	m.trace(t, SyncRelease, l.id)
 	m.trace(t, SyncCondWait, c.id)
 	c.waiters = append(c.waiters, t)
 	t.wakeVC = vclock.VC{}
@@ -313,7 +317,8 @@ func (t *Thread) wake(w *Thread) {
 
 // BarrierWait blocks until b's n-th thread arrives; all participants leave
 // with the join of all arrivals' clocks and (in deterministic mode) a
-// counter just past the latest arrival's.
+// counter just past the latest arrival's. The tracer sees each arrival
+// with its position in the episode (0 to n-1) as pos and n as capacity.
 func (t *Thread) BarrierWait(b *Barrier) {
 	m := t.m
 	t.syncEnter()
@@ -321,8 +326,10 @@ func (t *Thread) BarrierWait(b *Barrier) {
 	if t.DetCounter > b.maxCounter {
 		b.maxCounter = t.DetCounter
 	}
+	if tr := m.cfg.Tracer; tr != nil {
+		tr.Sync(t, SyncBarrier, b.id, b.arrived, b.n)
+	}
 	b.arrived++
-	m.trace(t, SyncBarrier, b.id)
 	if b.arrived < b.n {
 		b.waiting = append(b.waiting, t)
 		t.syncDone()

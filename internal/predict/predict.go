@@ -11,29 +11,32 @@
 //     to logical threads by spawn sequence number (thread ids are
 //     reused; sequence numbers are not).
 //
-//  2. Screen — a linear-time weak-vector-clock pass in the style of WCP
+//  2. Screen — a weak-vector-clock pass in the style of WCP
 //     (Kini/Mathur/Viswanathan, "Dynamic Race Prediction in Linear
-//     Time"): order events by program order, fork/join, and the Go
-//     memory model's channel edges, but deliberately drop lock
-//     release→acquire edges — a sync-preserving reordering may omit an
-//     earlier critical section entirely, so lock edges observed in the
-//     recording do not constrain the reorderings we search. Conflicting
-//     cross-thread pairs left unordered are candidates.
+//     Time"): order events by program order, fork/join, the Go memory
+//     model's channel edges and barrier episodes, but deliberately drop
+//     lock release→acquire edges — a sync-preserving reordering may
+//     omit an earlier critical section entirely, so lock edges observed
+//     in the recording do not constrain the reorderings we search.
+//     Conflicting cross-thread pairs left unordered that hold no common
+//     lock are candidates; accesses are compared only when they share
+//     an 8-byte word.
 //
 //  3. Reorder + certify — for each candidate, compute the
 //     sync-preserving closure of the pair's program-order prefixes
 //     (Mathur/Pavlogiannis/Viswanathan, "Optimal Prediction of
 //     Synchronization-Preserving Races"): the least prefix set that
-//     respects join/channel/lock-completion rules. If the closure fits
-//     under the pair (no required event lies beyond either access) it
-//     linearizes into a witness schedule ending with the two accesses
-//     back-to-back, write first. The witness is then re-executed on a
-//     fresh machine with a real detector attached; the prediction is
-//     reported only if the detector raises the predicted exception, and
-//     only if a second replay reproduces it byte-identically (race
-//     identity, final deterministic counters, shared-region hash). Every
-//     reported race is therefore self-certifying: it comes with a
-//     schedule the machine actually executed into a detector hit.
+//     respects join/channel/lock-completion rules and includes barrier
+//     episodes whole. If the closure fits under the pair (no required
+//     event lies beyond either access) it linearizes into a witness
+//     schedule ending with the two accesses back-to-back, write first.
+//     The witness is then re-executed on a fresh machine with a real
+//     detector attached; the prediction is reported only if the
+//     detector raises the predicted exception, and only if a second
+//     replay reproduces it byte-identically (race identity, final
+//     deterministic counters, shared-region hash). Every reported race
+//     is therefore self-certifying: it comes with a schedule the
+//     machine actually executed into a detector hit.
 //
 // Certification uses the CLEAN core detector by default, so predictions
 // inherit CLEAN's semantics: WAW and RAW only (the witness orders a
@@ -48,8 +51,10 @@ import (
 // Kind enumerates recorded event kinds.
 type Kind uint8
 
-// Event kinds, in no particular order. KindOther covers barrier,
-// condition-variable and signal events, which the analyses treat
+// Event kinds, in no particular order. KindBarrier is one arrival at a
+// barrier; the arrivals at positions 0 through Cap-1 form an episode,
+// which the analyses treat as one n-party synchronization. KindOther
+// covers condition-variable and signal events, which the analyses treat
 // conservatively as operations on a serializing object.
 const (
 	KindRead Kind = iota
@@ -62,10 +67,11 @@ const (
 	KindJoin
 	KindWork
 	KindOther
+	KindBarrier
 )
 
 var kindNames = [...]string{
-	"read", "write", "acquire", "release", "send", "recv", "fork", "join", "work", "sync",
+	"read", "write", "acquire", "release", "send", "recv", "fork", "join", "work", "sync", "barrier",
 }
 
 func (k Kind) String() string {
@@ -84,10 +90,10 @@ type Event struct {
 
 	Addr  uint64 // Read/Write: accessed address
 	Size  int    // Read/Write: access width in bytes
-	Obj   uint64 // machine object id (locks, channels, other sync)
+	Obj   uint64 // machine object id (locks, channels, barriers, other sync)
 	Child int    // Fork/Join: child thread's spawn sequence number
-	Pos   int    // Send/Recv: channel queue position
-	Cap   int    // Send/Recv: channel capacity
+	Pos   int    // Send/Recv: channel queue position; Barrier: position in the episode
+	Cap   int    // Send/Recv: channel capacity; Barrier: party size
 	Work  int    // Work: units of private computation
 }
 
@@ -165,7 +171,7 @@ func (r *Recorder) Sync(t *machine.Thread, kind machine.SyncEvent, obj uint64, p
 		}
 	case machine.SyncJoin:
 		e.Obj, e.Child = 0, int(obj)
-	case machine.SyncChanSend, machine.SyncChanRecv:
+	case machine.SyncChanSend, machine.SyncChanRecv, machine.SyncBarrier:
 		e.Pos, e.Cap = pos, capacity
 	case machine.SyncChanSendDone:
 		th := r.rec.Threads[t.Seq]
@@ -195,8 +201,8 @@ func accessKind(write bool) Kind {
 }
 
 // syncKind maps a machine synchronization event to the kind it is
-// recorded (and replayed) as; barrier, condition-variable and signal
-// events are KindOther.
+// recorded (and replayed) as; condition-variable and signal events are
+// KindOther.
 func syncKind(kind machine.SyncEvent) Kind {
 	switch kind {
 	case machine.SyncAcquire:
@@ -211,6 +217,8 @@ func syncKind(kind machine.SyncEvent) Kind {
 		return KindSend
 	case machine.SyncChanRecv:
 		return KindRecv
+	case machine.SyncBarrier:
+		return KindBarrier
 	default:
 		return KindOther
 	}

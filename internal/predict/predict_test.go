@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/prog"
+	"repro/internal/workloads"
 )
 
 // TestLitmusPredictions pins the pipeline's behavior on the curated
@@ -120,19 +121,136 @@ func TestRecordingShape(t *testing.T) {
 	}
 }
 
-// TestCommonLockPairsRejected pins the closure's lock rule: candidate
-// pairs whose accesses sit in critical sections of the same lock are
-// screened as candidates (no happens-before edge orders them) but must
-// never produce a feasible reordering, because including both acquires
-// forces the trace-earlier release into the witness and with it the
-// other side's access — a cycle the closure rejects.
+// TestCommonLockPairsRejected pins the lock rule at both stages. The
+// screen drops conflicting pairs whose accesses hold a common lock, so
+// locked-counter screens no candidates. The closure rejects the same
+// pairs on its own: including both acquires forces the trace-earlier
+// release into the witness and with it the other side's access, a cycle.
 func TestCommonLockPairsRejected(t *testing.T) {
 	res := Run(ProgramTarget(prog.LitmusByName("locked-counter").P), Options{Seed: 1})
-	if res.Candidates == 0 {
-		t.Fatal("locked-counter should screen candidate pairs (the weak screen ignores locks)")
+	if res.Candidates != 0 {
+		t.Fatalf("locked-counter screened %d candidates; pairs under a common lock should be dropped", res.Candidates)
 	}
 	if res.Feasible != 0 || len(res.Predictions) != 0 {
 		t.Fatalf("locked-counter: %d feasible, %d predicted; want 0/0", res.Feasible, len(res.Predictions))
+	}
+
+	// The pairs the lockset dropped: cross-thread, conflicting and
+	// unordered by the weak relation, but under the same lock.
+	rec := res.Recording
+	accs := sweep(rec)
+	idx := buildIndex(rec)
+	locked := 0
+	for j := range accs {
+		for i := 0; i < j; i++ {
+			a, b := &accs[i], &accs[j]
+			if a.e.Thread == b.e.Thread || (a.e.Kind != KindWrite && b.e.Kind != KindWrite) ||
+				!overlaps(a.e, b.e) || b.snap[a.e.Thread] >= a.snap[a.e.Thread] {
+				continue
+			}
+			if !commonLock(a.locks, b.locks) {
+				t.Fatalf("(%d,%d)-(%d,%d) holds no common lock", a.e.Thread, a.e.Index, b.e.Thread, b.e.Index)
+			}
+			locked++
+			for _, ord := range [][2]*Event{{a.e, b.e}, {b.e, a.e}} {
+				if _, ok := reorder(rec, idx, ord[0], ord[1]); ok {
+					t.Errorf("reorder found a witness for (%d,%d) then (%d,%d), both under one lock",
+						ord[0].Thread, ord[0].Index, ord[1].Thread, ord[1].Index)
+				}
+			}
+		}
+	}
+	if locked == 0 {
+		t.Fatal("locked-counter recorded no conflicting pair under its lock")
+	}
+}
+
+// TestBarrierEpisodes: a barrier episode orders every access before it
+// against every access after it, and a race between two accesses after
+// it certifies through a witness that completes the episode. Two
+// workers and the root share a 3-party barrier for two episodes:
+//
+//	worker 1: write A; barrier; write B; barrier; write C
+//	worker 2:          barrier; read A;  barrier; read B; read C
+//
+// The first episode orders the A pair and the second the B pair, so the
+// only candidate is the C pair, which certifies as RAW.
+func TestBarrierEpisodes(t *testing.T) {
+	const a, b, c = 0, 8, 16
+	var x uint64
+	target := Target{Build: func(m *machine.Machine) (func(*machine.Thread), uint64, int) {
+		x = m.AllocShared(24, 8)
+		bar := m.NewBarrier(3)
+		w1 := func(w *machine.Thread) {
+			w.StoreU64(x+a, 1)
+			w.BarrierWait(bar)
+			w.StoreU64(x+b, 1)
+			w.BarrierWait(bar)
+			w.StoreU64(x+c, 1)
+		}
+		w2 := func(w *machine.Thread) {
+			w.BarrierWait(bar)
+			w.LoadU64(x + a)
+			w.BarrierWait(bar)
+			w.LoadU64(x + b)
+			w.LoadU64(x + c)
+		}
+		return func(th *machine.Thread) {
+			k1, k2 := th.Spawn(w1), th.Spawn(w2)
+			// The root arrives last, so no worker's arrival pulls it
+			// into a witness through the arrival order alone.
+			th.Work(64)
+			th.BarrierWait(bar)
+			th.Work(64)
+			th.BarrierWait(bar)
+			th.Join(k1)
+			th.Join(k2)
+		}, x, 24
+	}}
+	for seed := int64(0); seed < 8; seed++ {
+		res := Run(target, Options{Seed: seed})
+		if res.Recording.Err != nil {
+			t.Fatalf("seed %d: recording failed: %v", seed, res.Recording.Err)
+		}
+		if res.Candidates != 1 {
+			t.Errorf("seed %d: %d candidates, want 1 (the C pair)", seed, res.Candidates)
+		}
+		if len(res.Predictions) != 1 {
+			t.Fatalf("seed %d: %d predictions, want 1 (feasible %d, uncertified %d)",
+				seed, len(res.Predictions), res.Feasible, res.Uncertified)
+		}
+		p := res.Predictions[0]
+		if p.Kind != machine.RAW || p.Race.Addr != x+c {
+			t.Errorf("seed %d: certified %v at %#x, want RAW at C (%#x)", seed, p.Kind, p.Race.Addr, x+c)
+		}
+	}
+}
+
+// TestPaperRacySet: at seed 0, predict certifies at least one race on
+// each kernel the paper classifies racy, and finds no feasible witness,
+// let alone a prediction, on each race-free one.
+func TestPaperRacySet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs predict on all 26 kernels")
+	}
+	racy, raceFree := 0, 0
+	for _, w := range workloads.All() {
+		r := Run(WorkloadTarget(w, workloads.ScaleTest, workloads.Unmodified), Options{})
+		if w.Racy {
+			racy++
+			if len(r.Predictions) == 0 {
+				t.Errorf("%s: racy kernel, no certified race (candidates %d, feasible %d, uncertified %d)",
+					w.Name, r.Candidates, r.Feasible, r.Uncertified)
+			}
+			continue
+		}
+		raceFree++
+		if r.Feasible != 0 || len(r.Predictions) != 0 {
+			t.Errorf("%s: race-free kernel, %d feasible and %d predicted; want 0/0", w.Name, r.Feasible, len(r.Predictions))
+		}
+	}
+	if racy != 17 || raceFree != 9 {
+		t.Errorf("%d racy and %d race-free kernels, the paper's roster has 17 and 9", racy, raceFree)
 	}
 }
 

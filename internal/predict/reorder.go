@@ -16,8 +16,13 @@ package predict
 //   - of two included critical sections on one lock, the trace-earlier
 //     acquire's release must be included (sync-preservation keeps the
 //     observed lock order), which in particular rejects pairs that hold
-//     a common lock — the earlier holder's release lies beyond its cut;
-//   - barrier/condvar/signal events require their observed same-object
+//     a common lock — the earlier holder's release lies beyond its cut
+//     (the screen already drops such pairs by lockset);
+//   - a barrier arrival requires every arrival of its episode and of the
+//     episodes before it on the same barrier: the n-party case of the
+//     closure, since no participant leaves an episode until all have
+//     arrived;
+//   - condvar/signal events require their observed same-object
 //     predecessor.
 //
 // If any rule demands an event at or beyond either racing access, the
@@ -25,14 +30,24 @@ package predict
 
 type loc struct{ t, j int }
 
+// objLink ties a barrier, condvar or signal event to the other events
+// on its object.
+type objLink struct {
+	prev loc // the same-object predecessor in the recorded order; t = -1 if none
+	// Barrier arrivals only: last is the episode's last recorded arrival,
+	// and full reports that every party arrived.
+	last loc
+	full bool
+}
+
 // index holds per-recording lookup tables the closure needs.
 type index struct {
-	send    map[uint64]map[int]loc // channel -> queue position -> send arrival
-	recv    map[uint64]map[int]loc // channel -> queue position -> receive
-	fork    []loc                  // thread seq -> its fork event; {-1,-1} for the root
-	rel     [][]int                // rel[t][j] = matching release index for an acquire, -1 if never released
-	prev    [][]int                // prev[t][j] = global-order same-object predecessor of a KindOther event, as -1 or an index into flat locs
-	prevLoc []loc                  // storage for prev references
+	send  map[uint64]map[int]loc // channel -> queue position -> send arrival
+	recv  map[uint64]map[int]loc // channel -> queue position -> receive
+	fork  []loc                  // thread seq -> its fork event; {-1,-1} for the root
+	rel   [][]int                // rel[t][j] = matching release index for an acquire, -1 if never released
+	link  [][]int                // link[t][j] = index into links for a barrier, condvar or signal event, else -1
+	links []objLink
 }
 
 func buildIndex(rec *Recording) *index {
@@ -41,15 +56,15 @@ func buildIndex(rec *Recording) *index {
 		recv: make(map[uint64]map[int]loc),
 		fork: make([]loc, len(rec.Threads)),
 		rel:  make([][]int, len(rec.Threads)),
-		prev: make([][]int, len(rec.Threads)),
+		link: make([][]int, len(rec.Threads)),
 	}
 	for t := range rec.Threads {
 		idx.fork[t] = loc{-1, -1}
 		idx.rel[t] = make([]int, len(rec.Threads[t]))
-		idx.prev[t] = make([]int, len(rec.Threads[t]))
+		idx.link[t] = make([]int, len(rec.Threads[t]))
 		for j := range idx.rel[t] {
 			idx.rel[t][j] = -1
-			idx.prev[t][j] = -1
+			idx.link[t][j] = -1
 		}
 	}
 	type tl struct {
@@ -57,16 +72,18 @@ func buildIndex(rec *Recording) *index {
 		lock uint64
 	}
 	openAcq := make(map[tl]int)
-	lastOther := make(map[uint64]loc)
+	lastOnObj := make(map[uint64]loc)
+	episode := make(map[uint64][]int) // barrier -> links of its open episode
 	for _, g := range rec.order {
 		if g.done {
 			continue
 		}
 		e := &rec.Threads[g.thread][g.index]
+		here := loc{g.thread, g.index}
 		switch e.Kind {
 		case KindFork:
 			if e.Child < len(idx.fork) {
-				idx.fork[e.Child] = loc{g.thread, g.index}
+				idx.fork[e.Child] = here
 			}
 		case KindAcquire:
 			openAcq[tl{g.thread, e.Obj}] = g.index
@@ -81,30 +98,46 @@ func buildIndex(rec *Recording) *index {
 				m = make(map[int]loc)
 				idx.send[e.Obj] = m
 			}
-			m[e.Pos] = loc{g.thread, g.index}
+			m[e.Pos] = here
 		case KindRecv:
 			m := idx.recv[e.Obj]
 			if m == nil {
 				m = make(map[int]loc)
 				idx.recv[e.Obj] = m
 			}
-			m[e.Pos] = loc{g.thread, g.index}
-		case KindOther:
-			if p, ok := lastOther[e.Obj]; ok {
-				idx.prev[g.thread][g.index] = len(idx.prevLoc)
-				idx.prevLoc = append(idx.prevLoc, p)
+			m[e.Pos] = here
+		case KindOther, KindBarrier:
+			prev, ok := lastOnObj[e.Obj]
+			if !ok {
+				prev = loc{-1, -1}
 			}
-			lastOther[e.Obj] = loc{g.thread, g.index}
+			lastOnObj[e.Obj] = here
+			idx.link[g.thread][g.index] = len(idx.links)
+			idx.links = append(idx.links, objLink{prev: prev})
+			if e.Kind != KindBarrier {
+				break
+			}
+			ep := append(episode[e.Obj], len(idx.links)-1)
+			full := e.Pos == e.Cap-1
+			for _, k := range ep {
+				idx.links[k].last, idx.links[k].full = here, full
+			}
+			if full {
+				ep = ep[:0]
+			}
+			episode[e.Obj] = ep
 		}
 	}
 	return idx
 }
 
-func (idx *index) otherPrev(t, j int) (loc, bool) {
-	if p := idx.prev[t][j]; p >= 0 {
-		return idx.prevLoc[p], true
+// objLinkOf returns the object link of a barrier, condvar or signal
+// event.
+func (idx *index) objLinkOf(t, j int) (objLink, bool) {
+	if k := idx.link[t][j]; k >= 0 {
+		return idx.links[k], true
 	}
-	return loc{}, false
+	return objLink{}, false
 }
 
 // closure computes required program-order prefix lengths per thread, or
@@ -186,9 +219,19 @@ func closure(rec *Recording, idx *index, first, second *Event) ([]int, bool) {
 				}
 			}
 			lockAcqs[e.Obj] = append(lockAcqs[e.Obj], l)
-		case KindOther:
-			if p, found := idx.otherPrev(l.t, l.j); found {
-				include(p.t, p.j+1)
+		case KindBarrier, KindOther:
+			// Each requires its same-object predecessor. An arrival also
+			// requires its episode's last arrival, which through the
+			// chain pulls in the whole episode and every earlier one.
+			k, found := idx.objLinkOf(l.t, l.j)
+			if !found {
+				break
+			}
+			if k.prev.t >= 0 {
+				include(k.prev.t, k.prev.j+1)
+			}
+			if e.Kind == KindBarrier {
+				include(k.last.t, k.last.j+1)
 			}
 		}
 	}
@@ -227,9 +270,15 @@ func reorder(rec *Recording, idx *index, first, second *Event) ([]*Event, bool) 
 			return false
 		}
 		e := &rec.Threads[t][j]
-		if e.Kind == KindSend {
+		switch e.Kind {
+		case KindSend:
 			if need := e.Pos - e.Cap; need >= 0 {
 				return recvsDone[e.Obj] > need
+			}
+		case KindBarrier:
+			// An arrival completes once its whole episode has arrived.
+			if k, found := idx.objLinkOf(t, j); found {
+				return k.full && done[k.last.t] > k.last.j
 			}
 		}
 		return true
@@ -264,9 +313,15 @@ func reorder(rec *Recording, idx *index, first, second *Event) ([]*Event, bool) 
 				return false
 			}
 			return req[c] == 0 || completed(c, req[c]-1)
+		case KindBarrier:
+			// Arrivals on one barrier keep their recorded order, so each
+			// episode forms exactly as recorded.
+			if k, found := idx.objLinkOf(t, j); found && k.prev.t >= 0 {
+				return done[k.prev.t] > k.prev.j
+			}
 		case KindOther:
-			if p, found := idx.otherPrev(t, j); found {
-				return completed(p.t, p.j)
+			if k, found := idx.objLinkOf(t, j); found && k.prev.t >= 0 {
+				return completed(k.prev.t, k.prev.j)
 			}
 		}
 		return true
@@ -283,8 +338,9 @@ func reorder(rec *Recording, idx *index, first, second *Event) ([]*Event, bool) 
 			}
 		}
 		if best < 0 {
-			// Wedged: an included barrier with a missing participant, or
-			// a closure edge this linearizer cannot realize.
+			// Wedged: a closure edge this linearizer cannot realize,
+			// such as a join of a thread blocked in an episode the
+			// recording never completed.
 			return nil, false
 		}
 		e := &rec.Threads[best][done[best]]

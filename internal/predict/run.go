@@ -118,7 +118,8 @@ type Prediction struct {
 type Result struct {
 	Recording *Recording
 	// Candidates counts conflicting cross-thread pairs the weak screen
-	// left unordered (before dedup against already-certified races).
+	// left unordered and that hold no common lock (before dedup against
+	// already-certified races).
 	Candidates int
 	// Capped reports that the screen stopped at Options.MaxCandidates;
 	// unordered pairs past the cap, if any, were neither counted nor
