@@ -256,13 +256,16 @@ func LoadSource(filename string, src []byte) (*Program, error) {
 			f.errorf(imp.Pos(), "import %q unsupported (only \"sync\")", path)
 		}
 	}
+	// Reject before type checking: the source importer would compile the
+	// import and all of its dependencies from GOROOT first, which costs
+	// seconds and hundreds of MiB for a package such as net/http.
+	if derr := f.err(); derr != nil {
+		return nil, derr
+	}
 	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
 	if _, err := conf.Check(filename, fset, []*ast.File{file}, f.info); err != nil {
 		f.errorf(token.NoPos, "type check: %v", err)
 		return nil, f.err()
-	}
-	if derr := f.err(); derr != nil {
-		return nil, derr
 	}
 	return f.lowerFile()
 }

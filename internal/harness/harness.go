@@ -166,7 +166,7 @@ func Experiments() []struct {
 		{"fig10", "Fig. 10: breakdown of memory accesses", Fig10},
 		{"fig11", "Fig. 11: 1-byte and 4-byte epoch alternatives", Fig11},
 		{"perf", "telemetry: per-run metrics reports, Fig. 7 frequencies in BENCH_perf.json", Perf},
-		{"hotpath", "ns/op + allocs/op of the shadow fast lane and per-access check, BENCH_hotpath.json", Hotpath},
+		{"hotpath", "ns/op + allocs/op of the shadow fast lane, per-access check and Kendo lock pair, BENCH_hotpath.json", Hotpath},
 		{"ablation", "§7 claim: CLEAN vs FastTrack vs TSan-lite software detectors", Ablation},
 		{"static", "static verdicts vs CLEAN/FastTrack/oracle on fuzzed programs", Static},
 		{"predict", "predictive detection: race recall + step cost vs exploration, BENCH_predict.json", Predict},

@@ -20,8 +20,9 @@ import (
 // Hotpath measures the per-access cost of the detector fast path — the
 // quantity every §6 slowdown figure ultimately rests on — as a set of
 // steady-state micro-measurements: the shadow region's single-epoch and
-// vectorized (§4.4) operations on their unsynchronized fast lane, and the
-// machine's full instrumented access with and without CLEAN attached.
+// vectorized (§4.4) operations on their unsynchronized fast lane, the
+// machine's full instrumented access with and without CLEAN attached, and
+// one contended Kendo lock/unlock pair.
 //
 // With Options.JSONDir set the results land in BENCH_hotpath.json as
 // hotpath.<name>.ns_per_op / hotpath.<name>.allocs_per_op summary gauges,
@@ -128,6 +129,7 @@ func Hotpath(w io.Writer, o Options) error {
 		{"machine.access_clean", func(b *testing.B) {
 			benchMachineAccess(b, core.New(core.Config{}))
 		}},
+		{"machine.kendo_lock", benchKendoLock},
 	}
 
 	bench := telemetry.NewBenchFile("hotpath")
@@ -236,6 +238,40 @@ func benchMachineAccess(b *testing.B, det machine.Detector) {
 	err := m.Run(func(t *machine.Thread) {
 		for i := 0; i < b.N; i++ {
 			t.StoreU64(a+uint64(i%512)*8, uint64(i))
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
+// benchKendoLock times one Lock/Unlock pair on a mutex four threads
+// contend for under Kendo deterministic synchronization (§3.3): the
+// scheduler dispatch, the turn waits, the contended retries and the
+// release's clock publication. Spawning the threads is amortized over
+// the b.N pairs.
+func benchKendoLock(b *testing.B) {
+	const threads = 4
+	m := machine.New(machine.Config{DetSync: true})
+	l := m.NewMutex()
+	b.ReportAllocs()
+	b.ResetTimer()
+	err := m.Run(func(t *machine.Thread) {
+		pairs := func(th *machine.Thread, n int) {
+			for i := 0; i < n; i++ {
+				th.Lock(l)
+				th.Unlock(l)
+			}
+		}
+		share := func(i int) int { return b.N*(i+1)/threads - b.N*i/threads }
+		kids := make([]*machine.Thread, 0, threads-1)
+		for i := 1; i < threads; i++ {
+			n := share(i)
+			kids = append(kids, t.Spawn(func(c *machine.Thread) { pairs(c, n) }))
+		}
+		pairs(t, share(0))
+		for _, k := range kids {
+			t.Join(k)
 		}
 	})
 	if err != nil {

@@ -11,6 +11,13 @@
 // the total order of synchronization — and with CLEAN's race exceptions,
 // every value read — is the same in every execution.
 //
+// At any instant exactly one participating thread holds the turn: the one
+// with the least (counter, id) pair. Holder finds it in one pass over the
+// threads, and IsTurn, WaitForTurn and WaitForTurnObserved are derived
+// from it; QueueDepth follows from the same fact, since every participant
+// but the holder waits. A scheduler that asks once per step therefore pays
+// for one scan, not one scan per waiter.
+//
 // The package is pure algorithm: it sees threads through the Runtime
 // interface and owns no scheduling machinery, so its turn-taking and
 // counter-assignment rules are unit-testable in isolation. The machine
@@ -19,11 +26,15 @@ package kendo
 
 // Runtime is the view of the thread system Kendo needs: per-thread
 // deterministic counters, participation status, and a way to give up the
-// processor while waiting for the turn.
+// processor while waiting for the turn. Thread ids are dense small
+// integers; the queries iterate them without allocating.
 type Runtime interface {
-	// Threads returns the ids of all threads ever started.
-	Threads() []int
-	// Counter returns the deterministic counter of thread tid.
+	// Threads returns one past the largest thread id ever started. Ids
+	// below it that are not in use (never started, or recycled after a
+	// join) must report non-participating.
+	Threads() int
+	// Counter returns the deterministic counter of thread tid. It is
+	// only asked of participating threads.
 	Counter(tid int) uint64
 	// Participating reports whether tid competes for the turn: started,
 	// not finished, and not suspended in a blocking wait (a thread parked
@@ -35,22 +46,25 @@ type Runtime interface {
 	Yield()
 }
 
-// IsTurn reports whether thread tid currently holds the deterministic turn:
-// its counter is ≤ every participating thread's counter, and strictly less
-// than the counter of every participating thread with a smaller id.
-func IsTurn(rt Runtime, tid int) bool {
-	mine := rt.Counter(tid)
-	for _, other := range rt.Threads() {
-		if other == tid || !rt.Participating(other) {
+// Holder returns the thread that holds the deterministic turn: the
+// participating thread with the least counter, the lower id breaking
+// ties. It returns -1 when no thread participates.
+func Holder(rt Runtime) int {
+	holder, least := -1, uint64(0)
+	for tid, n := 0, rt.Threads(); tid < n; tid++ {
+		if !rt.Participating(tid) {
 			continue
 		}
-		c := rt.Counter(other)
-		if c < mine || (c == mine && other < tid) {
-			return false
+		// Ids ascend, so a strict comparison keeps the lower id on a tie.
+		if c := rt.Counter(tid); holder < 0 || c < least {
+			holder, least = tid, c
 		}
 	}
-	return true
+	return holder
 }
+
+// IsTurn reports whether thread tid currently holds the deterministic turn.
+func IsTurn(rt Runtime, tid int) bool { return Holder(rt) == tid }
 
 // WaitForTurn spins (yielding the processor) until tid holds the turn.
 // Progress: every participating thread either advances its counter with its
@@ -97,13 +111,17 @@ func WaitForTurnObserved(rt Runtime, tid int, obs WaitObserver) {
 
 // QueueDepth returns the number of participating threads that do not
 // currently hold the turn — the depth of the deterministic-wait queue the
-// telemetry layer samples at scheduling points.
+// telemetry layer samples at scheduling points. Exactly one participant
+// holds the turn, so this is the participant count less one.
 func QueueDepth(rt Runtime) int {
 	depth := 0
-	for _, tid := range rt.Threads() {
-		if rt.Participating(tid) && !IsTurn(rt, tid) {
+	for tid, n := 0, rt.Threads(); tid < n; tid++ {
+		if rt.Participating(tid) {
 			depth++
 		}
+	}
+	if depth > 0 {
+		depth-- // the holder
 	}
 	return depth
 }

@@ -1,27 +1,54 @@
 package kendo
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
 
-// fakeRT is a Runtime over explicit counter/participation tables.
+// fakeRT is a Runtime over explicit counter/participation tables. Ids
+// from len(counters) up to unused-1 were never started and report
+// non-participating. Asking the counter of a thread that does not
+// participate breaks the Runtime contract and panics.
 type fakeRT struct {
 	counters []uint64
 	parts    []bool
+	unused   int
 	yields   int
 }
 
-func (f *fakeRT) Threads() []int {
-	ids := make([]int, len(f.counters))
-	for i := range ids {
-		ids[i] = i
+func (f *fakeRT) Threads() int {
+	if f.unused > len(f.counters) {
+		return f.unused
 	}
-	return ids
+	return len(f.counters)
 }
-func (f *fakeRT) Counter(tid int) uint64     { return f.counters[tid] }
-func (f *fakeRT) Participating(tid int) bool { return f.parts[tid] }
+func (f *fakeRT) Counter(tid int) uint64 {
+	if !f.Participating(tid) {
+		panic(fmt.Sprintf("Counter(%d) asked of a non-participant", tid))
+	}
+	return f.counters[tid]
+}
+func (f *fakeRT) Participating(tid int) bool { return tid < len(f.parts) && f.parts[tid] }
 func (f *fakeRT) Yield()                     { f.yields++ }
+
+// allPairsTurn is the turn rule as the machine first checked it, one
+// waiter at a time: tid holds the turn when no other participating thread
+// has a smaller counter, or an equal one and a smaller id. It is kept
+// only as the reference Holder is checked against.
+func allPairsTurn(rt Runtime, tid int) bool {
+	mine := rt.Counter(tid)
+	for other := 0; other < rt.Threads(); other++ {
+		if other == tid || !rt.Participating(other) {
+			continue
+		}
+		c := rt.Counter(other)
+		if c < mine || (c == mine && other < tid) {
+			return false
+		}
+	}
+	return true
+}
 
 func allTrue(n int) []bool {
 	b := make([]bool, n)
@@ -101,6 +128,69 @@ func TestExactlyOneTurnHolderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// Property: Holder names exactly the participant the all-pairs rule
+// accepts, and no thread when none participates; QueueDepth is the
+// participant count less the holder. Counters are drawn from a small
+// range so ties are common, and some ids are suspended or never used.
+func TestHolderMatchesAllPairsProperty(t *testing.T) {
+	f := func(raw []uint8, states []uint8, unused uint8) bool {
+		n := len(raw)
+		if n > 16 {
+			n = 16
+		}
+		rt := &fakeRT{counters: make([]uint64, n), parts: make([]bool, n), unused: n + int(unused%4)}
+		participants := 0
+		for i := 0; i < n; i++ {
+			rt.counters[i] = uint64(raw[i] % 4)
+			// Ids past the end of states participate; of the others,
+			// one in three is suspended.
+			rt.parts[i] = i >= len(states) || states[i]%3 != 0
+			if rt.parts[i] {
+				participants++
+			}
+		}
+		h := Holder(rt)
+		accepted := -1
+		for tid := 0; tid < n; tid++ {
+			if rt.parts[tid] && allPairsTurn(rt, tid) {
+				if accepted >= 0 {
+					return false // the reference accepted two threads
+				}
+				accepted = tid
+			}
+		}
+		if h != accepted {
+			return false
+		}
+		for tid := 0; tid < rt.Threads(); tid++ {
+			if IsTurn(rt, tid) != (tid == accepted) {
+				return false
+			}
+		}
+		want := participants - 1
+		if participants == 0 {
+			want = 0
+		}
+		return QueueDepth(rt) == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestHolderNoParticipants(t *testing.T) {
+	if h := Holder(&fakeRT{}); h != -1 {
+		t.Errorf("empty runtime: Holder = %d, want -1", h)
+	}
+	rt := &fakeRT{counters: []uint64{1, 2}, parts: []bool{false, false}, unused: 5}
+	if h := Holder(rt); h != -1 {
+		t.Errorf("no participants: Holder = %d, want -1", h)
+	}
+	if d := QueueDepth(rt); d != 0 {
+		t.Errorf("no participants: QueueDepth = %d, want 0", d)
 	}
 }
 

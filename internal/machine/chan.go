@@ -100,7 +100,7 @@ func (t *Thread) Send(c *Chan) {
 			for !c.recvDone(need) {
 				t.DetCounter++
 				m.stats.Ops++
-				kendoRT{m: m, t: t}.Yield()
+				t.krt.Yield()
 				t.waitTurn()
 			}
 		} else {
@@ -130,7 +130,7 @@ func (t *Thread) Recv(c *Chan) {
 		for c.sendArrivals <= c.recvArrivals {
 			t.DetCounter++
 			m.stats.Ops++
-			kendoRT{m: m, t: t}.Yield()
+			t.krt.Yield()
 			t.waitTurn()
 		}
 	} else {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/telemetry"
 	"repro/internal/vclock"
 )
 
@@ -245,6 +246,56 @@ func TestKendoWithRolloverStillDeterministic(t *testing.T) {
 	for seed := int64(1); seed < 6; seed++ {
 		if got := run(seed); got != ref {
 			t.Fatalf("rollover broke determinism: %q vs %q", got, ref)
+		}
+	}
+}
+
+// TestPickWakesOnlyTheHolderWithoutAllocating: a scheduling round with
+// several threads waiting for the Kendo turn wakes exactly the holder —
+// the least (counter, id) among participants, skipping a recycled id and
+// a blocked thread — and allocates nothing, with telemetry off and on.
+func TestPickWakesOnlyTheHolderWithoutAllocating(t *testing.T) {
+	for _, withTel := range []bool{false, true} {
+		cfg := Config{Seed: 1, DetSync: true}
+		if withTel {
+			cfg.Metrics = telemetry.NewRegistry()
+		}
+		m := New(cfg)
+		var ths []*Thread
+		for i := 0; i < 6; i++ {
+			th, err := m.newThread(func(*Thread) {})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ths = append(ths, th)
+		}
+		m.threads[1] = nil // a joined thread's recycled id
+		counters := []uint64{9, 0, 4, 4, 2, 7}
+		for i, th := range ths {
+			th.DetCounter = counters[i]
+		}
+		// Thread 4 has the least counter but is blocked, so it does not
+		// participate; threads 2 and 3 tie and the lower id holds the turn.
+		round := func() int {
+			for _, th := range ths {
+				th.state = stateDetWait
+			}
+			ths[4].state = stateBlocked
+			if got, _ := m.pick(); got != nil {
+				return got.ID
+			}
+			return -1
+		}
+		if got := round(); got != 2 {
+			t.Fatalf("telemetry=%v: pick = thread %d, want thread 2", withTel, got)
+		}
+		for i, th := range ths {
+			if want := i == 2 || i == 4; (th.state != stateDetWait) != want {
+				t.Errorf("telemetry=%v: thread %d state %d after the round", withTel, i, th.state)
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() { round() }); allocs != 0 {
+			t.Errorf("telemetry=%v: a pick round allocates %.1f times", withTel, allocs)
 		}
 	}
 }

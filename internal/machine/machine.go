@@ -201,6 +201,7 @@ type Machine struct {
 	liveID   int // monotone spawn sequence, for diagnostics
 
 	yielded chan *Thread
+	krt     kendoRT // the scheduler's Kendo view (no calling thread)
 
 	stopErr      error
 	resetPending bool
@@ -257,6 +258,7 @@ func New(cfg Config) *Machine {
 		finalCounters: make(map[int]uint64),
 		initErr:       initErr,
 	}
+	m.krt = kendoRT{m: m}
 	m.accessCtr = [2][2]*uint64{
 		{&m.stats.PrivateAccesses, &m.stats.PrivateAccesses},
 		{&m.stats.SharedReads, &m.stats.SharedWrites},
@@ -415,7 +417,7 @@ func (m *Machine) pick() (*Thread, bool) {
 	m.wakeDetWaiters()
 	m.injectSpuriousWakes()
 	if tel := m.tel; tel != nil && m.cfg.DetSync {
-		tel.kendoQueueDepth.Observe(float64(kendo.QueueDepth(kendoRT{m: m})))
+		tel.kendoQueueDepth.Observe(float64(kendo.QueueDepth(&m.krt)))
 	}
 	inj := m.cfg.Injector
 	runnable := m.runnableBuf[:0]
@@ -477,13 +479,22 @@ func (m *Machine) injectSpuriousWakes() {
 
 // wakeDetWaiters resumes deterministic-turn waiters that can make
 // progress: the unique turn holder, or all of them when a rollover reset
-// needs everyone parked.
+// needs everyone parked. Waking a waiter changes no counter and no
+// participation, so the holder found once stands for the whole round.
 func (m *Machine) wakeDetWaiters() {
-	for _, t := range m.threads {
-		if t == nil || t.state != stateDetWait {
-			continue
+	if !m.cfg.DetSync {
+		return
+	}
+	if m.resetPending {
+		for _, t := range m.threads {
+			if t != nil && t.state == stateDetWait {
+				t.state = stateRunnable
+			}
 		}
-		if m.resetPending || kendo.IsTurn(kendoRT{m: m, t: t}, t.ID) {
+		return
+	}
+	if h := kendo.Holder(&m.krt); h >= 0 {
+		if t := m.threads[h]; t.state == stateDetWait {
 			t.state = stateRunnable
 		}
 	}
@@ -639,6 +650,7 @@ func (m *Machine) newThread(fn func(*Thread)) (*Thread, error) {
 		sfrStart: m.stats.Ops, // the first SFR begins at spawn time
 		epoch:    m.layout.Pack(tid, 0),
 	}
+	t.krt = kendoRT{m: m, t: t}
 	m.liveID++
 	for len(m.threads) <= tid {
 		m.threads = append(m.threads, nil)

@@ -72,26 +72,25 @@ func (m *Machine) NewBarrier(n int) *Barrier {
 	return b
 }
 
-// kendoRT adapts the machine to the kendo.Runtime view for one thread.
+// kendoRT adapts the machine to the kendo.Runtime view. Every thread
+// holds one naming itself, for its own turn waits, and the machine holds
+// one with t nil, for the scheduler's queries. Kendo receives a pointer
+// to it, so no turn query allocates.
 type kendoRT struct {
 	m *Machine
 	t *Thread
 }
 
-func (k kendoRT) Threads() []int {
-	ids := make([]int, 0, len(k.m.threads))
-	for tid, t := range k.m.threads {
-		if t != nil {
-			ids = append(ids, tid)
-		}
+func (k *kendoRT) Threads() int { return len(k.m.threads) }
+
+func (k *kendoRT) Counter(tid int) uint64 { return k.m.threads[tid].DetCounter }
+
+func (k *kendoRT) Participating(tid int) bool {
+	t := k.m.threads[tid]
+	if t == nil {
+		return false // never used, or recycled after a join
 	}
-	return ids
-}
-
-func (k kendoRT) Counter(tid int) uint64 { return k.m.threads[tid].DetCounter }
-
-func (k kendoRT) Participating(tid int) bool {
-	switch k.m.threads[tid].state {
+	switch t.state {
 	case stateRunnable, stateParked, stateDetWait:
 		return true
 	default:
@@ -104,7 +103,7 @@ func (k kendoRT) Participating(tid int) bool {
 // spin: the set of executed synchronization operations and their
 // (counter, tid) order are identical, but waiting threads cost no
 // scheduler dispatches while others catch up.
-func (k kendoRT) Yield() {
+func (k *kendoRT) Yield() {
 	k.m.stats.DetWaitYields++
 	k.t.state = stateDetWait
 	k.t.yield()
@@ -161,7 +160,7 @@ func (t *Thread) Lock(l *Mutex) {
 			t.checkOrphan(l)
 			t.DetCounter++
 			m.stats.Ops++
-			kendoRT{m: m, t: t}.Yield()
+			t.krt.Yield()
 			t.waitTurn()
 		}
 	} else {
@@ -211,7 +210,7 @@ func (t *Thread) unlockLocked(l *Mutex) {
 	if l.holder != t {
 		t.fail(ErrMisuse, "unlock", "thread %d unlocking mutex %d held by %v", t.ID, l.id, holderID(l))
 	}
-	l.vc = t.VC.Copy()
+	t.VC.CopyInto(&l.vc) // the mutex owns l.vc; nothing else aliases it
 	t.m.tickClock(t)
 	if tel := t.m.tel; tel != nil {
 		tel.tl.Span(t.ID, "lock held", "lock", l.holdStart, t.m.now())

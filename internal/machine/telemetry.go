@@ -158,10 +158,9 @@ func (o *kendoWaitObs) WaitEnd(tid int, yields uint64) {
 // telemetry when enabled. The yield sequence is identical either way, so
 // enabling telemetry never changes the deterministic order.
 func (t *Thread) waitTurn() {
-	rt := kendoRT{m: t.m, t: t}
 	if tel := t.m.tel; tel != nil {
-		kendo.WaitForTurnObserved(rt, t.ID, tel.waitObs)
+		kendo.WaitForTurnObserved(&t.krt, t.ID, tel.waitObs)
 		return
 	}
-	kendo.WaitForTurn(rt, t.ID)
+	kendo.WaitForTurn(&t.krt, t.ID)
 }

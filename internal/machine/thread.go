@@ -55,6 +55,7 @@ type Thread struct {
 	fn     func(*Thread)
 	resume chan struct{}
 	state  threadState
+	krt    kendoRT // this thread's view for Kendo turn waits
 
 	joiners []*Thread
 	joined  bool

@@ -152,15 +152,15 @@ type job struct {
 	sess     *session
 	spec     apiv1.JobSpec
 	idemKey  string
-	prog     *prog.Program // resolved program for program/litmus jobs
+	prog     *prog.Program // resolved program for program/litmus jobs; nil once done
 	state    string        // apiv1.JobQueued / JobRunning / JobDone
 	attempts int           // executions started (2 after a panic requeue)
 	accepted time.Time
 	deadline time.Time // zero = no wall-clock deadline
 	panicVal interface{}
-	runs     []apiv1.RunResult
-	marks    []traceMark   // lifecycle trace, guarded by Server.mu
-	done     chan struct{} // closed when state reaches JobDone
+	runs     []apiv1.RunResult // replaced whole, never mutated in place; store records share it
+	marks    []traceMark       // lifecycle trace, guarded by Server.mu
+	done     chan struct{}     // closed when state reaches JobDone
 
 	// The durable-acknowledgment handshake: ack closes once the
 	// submission's store write has resolved, acked says whether it
@@ -398,7 +398,7 @@ func (s *Server) putJob(j *job, durable bool) error {
 		Spec:           j.spec,
 		State:          j.state,
 		Attempts:       j.attempts,
-		Runs:           append([]apiv1.RunResult(nil), j.runs...),
+		Runs:           j.runs,
 	}
 	s.mu.Unlock()
 	return s.store.PutJob(rec, durable)
@@ -959,6 +959,7 @@ func (s *Server) runOne(j *job, worker int) {
 	s.mu.Lock()
 	j.runs = runs
 	j.state = apiv1.JobDone
+	j.prog = nil // a done job never runs again; only a requeue needs it
 	j.sess.done++
 	attempts := j.attempts
 	j.mark(phaseStored, storedAt)

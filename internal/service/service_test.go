@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -247,28 +248,51 @@ func main() {
 }
 `
 
+// importsNetHTTP imports a package gofront does not support. Type
+// checking it from source would compile net/http and its dependencies.
+const importsNetHTTP = `package main
+
+import _ "net/http"
+
+var x int
+
+func main() {
+	go func() { x = 1 }()
+}
+`
+
 // TestSubmitRejectsOversizedPrograms: submissions whose lowering or
 // shared state would cost unbounded memory or time are 400s, answered
-// before any run starts.
+// before any run starts and without allocating more than a bounded
+// amount on the intake path.
 func TestSubmitRejectsOversizedPrograms(t *testing.T) {
 	srv := newServer(Config{Workers: 1, QueueDepth: 4})
 	sess, err := srv.CreateSession(apiv1.SessionConfig{Detection: apiv1.DetectionCLEAN, Seed: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
+	const maxAlloc = 64 << 20
 	for _, spec := range []apiv1.JobSpec{
 		{GoSource: nestedLoops},
+		{GoSource: importsNetHTTP},
 		{Program: fmt.Sprintf("region %d\nlocks 0\nthread\n  write 0 8\n", prog.MaxRegion+1)},
 		{Program: fmt.Sprintf("region 8\nlocks %d\nthread\n  write 0 8\n", prog.MaxLocks+1)},
 	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		start := time.Now()
 		_, err := srv.Submit(sess.ID, spec, "")
+		d := time.Since(start)
+		runtime.ReadMemStats(&after)
 		var bad *BadRequestError
 		if !errors.As(err, &bad) {
 			t.Errorf("%.40q: Submit error %v, want a *BadRequestError", spec.GoSource+spec.Program, err)
 		}
-		if d := time.Since(start); d > 5*time.Second {
+		if d > 5*time.Second {
 			t.Errorf("%.40q: rejection took %v", spec.GoSource+spec.Program, d)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > maxAlloc {
+			t.Errorf("%.40q: rejection allocated %d MiB, want at most %d", spec.GoSource+spec.Program, n>>20, maxAlloc>>20)
 		}
 	}
 }

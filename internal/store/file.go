@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -40,7 +41,8 @@ const (
 )
 
 // snapshotFile wraps the State with the repository's schema/kind stamp
-// conventions so a snapshot is self-describing on disk.
+// conventions so a snapshot is self-describing on disk. Open decodes it
+// whole; writeSnapshot streams the same document record by record.
 type snapshotFile struct {
 	Schema int    `json:"schema"`
 	Kind   string `json:"kind"`
@@ -374,13 +376,9 @@ func (s *FileStore) compactLocked() error {
 	if err := s.syncToLocked(s.written); err != nil {
 		return err
 	}
-	snap := snapshotFile{Schema: 1, Kind: KindSnapshot, State: s.state}
-	data, err := json.MarshalIndent(&snap, "", "  ")
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
 	tmp := filepath.Join(s.dir, snapshotName+".tmp")
-	if err := writeFileSync(tmp, append(data, '\n')); err != nil {
+	size, err := writeSnapshot(tmp, s.state)
+	if err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, filepath.Join(s.dir, snapshotName)); err != nil {
@@ -413,11 +411,11 @@ func (s *FileStore) compactLocked() error {
 	elapsed := time.Since(compactStart).Seconds()
 	s.reg.Counter("store.compactions").Inc()
 	s.reg.Histogram("store.compact_seconds", compactBuckets...).Observe(elapsed)
-	s.reg.Gauge("store.snapshot_bytes").Set(float64(len(data)))
+	s.reg.Gauge("store.snapshot_bytes").Set(float64(size))
 	s.reg.Gauge("store.journal_bytes").Set(0)
 	s.log.Info("store: compacted journal into snapshot",
 		"dir", s.dir, "journal_bytes_before", journalBefore,
-		"snapshot_bytes", len(data), "seconds", elapsed)
+		"snapshot_bytes", size, "seconds", elapsed)
 	return nil
 }
 
@@ -451,23 +449,61 @@ func (s *FileStore) JournalBytes() int64 {
 	return s.written
 }
 
-func writeFileSync(path string, data []byte) error {
+// writeSnapshot writes st to path as a snapshotFile document in compact
+// JSON, fsynced, and returns its size. Records are encoded one at a time
+// through a buffered writer, so memory stays at one record however many
+// jobs the state holds.
+func writeSnapshot(path string, st *State) (int64, error) {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
+		return 0, fmt.Errorf("store: %w", err)
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("store: %w", err)
+	w := bufio.NewWriter(f)
+	enc := json.NewEncoder(w)
+	fmt.Fprintf(w, `{"schema":1,"kind":%q,"state":{"sessions":`, KindSnapshot)
+	err = encodeList(w, enc, st.Sessions)
+	if err == nil {
+		w.WriteString(`,"jobs":`)
+		err = encodeList(w, enc, st.Jobs)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("store: %w", err)
+	if err == nil {
+		fmt.Fprintf(w, `,"next_session":%d,"next_job":%d}}`+"\n", st.NextSession, st.NextJob)
+		err = w.Flush()
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("store: %w", err)
+	if err == nil {
+		err = f.Sync()
 	}
-	return nil
+	var size int64
+	if err == nil {
+		size, err = f.Seek(0, io.SeekCurrent)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return 0, fmt.Errorf("store: %w", err)
+	}
+	return size, nil
+}
+
+// encodeList writes items as a JSON array (null when nil, as
+// encoding/json would), one element per Encode call. A write error is
+// sticky in w and surfaces at its Flush.
+func encodeList[T any](w *bufio.Writer, enc *json.Encoder, items []T) error {
+	if items == nil {
+		_, err := w.WriteString("null")
+		return err
+	}
+	w.WriteByte('[')
+	for i := range items {
+		if i > 0 {
+			w.WriteByte(',')
+		}
+		if err := enc.Encode(&items[i]); err != nil {
+			return err
+		}
+	}
+	return w.WriteByte(']')
 }
 
 // syncDir fsyncs a directory so a rename within it is durable.

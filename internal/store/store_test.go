@@ -2,9 +2,11 @@ package store
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -169,6 +171,72 @@ func TestCompact(t *testing.T) {
 	st := r.State()
 	if len(st.Jobs) != 11 || st.NextJob != 11 {
 		t.Fatalf("recovered %d jobs next=%d, want 11, 11", len(st.Jobs), st.NextJob)
+	}
+}
+
+// TestCompactLargeStateRoundTrips: a snapshot of thousands of job
+// records, written record by record, reopens to an identical State; so
+// does the same state in the indented form earlier snapshots used.
+func TestCompactLargeStateRoundTrips(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir)
+	s.CompactBytes = 0 // one explicit compaction covers everything
+	for i := 1; i <= 3; i++ {
+		if err := s.PutSession(SessionRecord{ID: fmt.Sprintf("s-%d", i), State: "active",
+			Config: apiv1.SessionConfig{Detection: apiv1.DetectionCLEAN, Seed: int64(i)}}, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const jobs = 5000
+	for i := 1; i <= jobs; i++ {
+		rec := jobN(i, apiv1.JobQueued)
+		rec.Session = fmt.Sprintf("s-%d", 1+i%3)
+		if i%5 != 0 {
+			rec.State = apiv1.JobDone
+			rec.Attempts = 1 + i%2
+			rec.Runs = []apiv1.RunResult{
+				{Seed: int64(i), Outcome: apiv1.OutcomeCompleted, DeterminismHash: fmt.Sprintf("%#x", i)},
+				{Seed: int64(i + 1), Outcome: apiv1.OutcomeRaceException, Error: "RAW <\"x\">"},
+			}
+		}
+		if i%7 == 0 {
+			rec.IdempotencyKey = fmt.Sprintf("k-%d", i)
+		}
+		if err := s.PutJob(rec, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	want := s.copyStateLocked()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Jobs) != jobs {
+		t.Fatalf("state holds %d jobs, want %d", len(want.Jobs), jobs)
+	}
+	r := openT(t, dir)
+	got := r.State()
+	r.Close()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened state differs from the compacted one")
+	}
+
+	// The indented form decodes to the same state.
+	old := t.TempDir()
+	data, err := json.MarshalIndent(&snapshotFile{Schema: 1, Kind: KindSnapshot, State: want}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(old, snapshotName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r = openT(t, old)
+	got = r.State()
+	r.Close()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("indented snapshot decodes to a different state")
 	}
 }
 

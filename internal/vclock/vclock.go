@@ -162,6 +162,17 @@ func (v VC) Copy() VC {
 	return VC{c: c}
 }
 
+// CopyInto makes dst an independent copy of v, reusing dst's storage when
+// it is large enough, so a clock published on every release (a mutex's)
+// is copied without allocating once its buffer has grown.
+func (v VC) CopyInto(dst *VC) {
+	if cap(dst.c) < len(v.c) {
+		dst.c = make([]uint32, len(v.c))
+	}
+	dst.c = dst.c[:len(v.c)]
+	copy(dst.c, v.c)
+}
+
 // Reset zeroes every element in place. Used by the deterministic rollover
 // reset (§4.5).
 func (v *VC) Reset() {

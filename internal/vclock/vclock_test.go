@@ -158,6 +158,31 @@ func TestCopyIsIndependent(t *testing.T) {
 	}
 }
 
+func TestCopyIntoReusesStorage(t *testing.T) {
+	a := New(3)
+	a.SetClock(0, 1)
+	a.SetClock(2, 5)
+	var dst VC
+	a.CopyInto(&dst)
+	if dst.String() != a.String() {
+		t.Fatalf("CopyInto = %v, want %v", dst, a)
+	}
+	dst.Tick(0)
+	if a.Clock(0) != 1 {
+		t.Fatalf("CopyInto shares storage: a.Clock(0) = %d", a.Clock(0))
+	}
+	// A shorter source shrinks the copy: elements past its length read 0.
+	short := New(1)
+	short.SetClock(0, 7)
+	short.CopyInto(&dst)
+	if dst.Len() != 1 || dst.Clock(0) != 7 || dst.Clock(2) != 0 {
+		t.Fatalf("CopyInto from shorter clock = %v", dst)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { a.CopyInto(&dst) }); allocs != 0 {
+		t.Fatalf("CopyInto into a large-enough buffer allocates %.1f times", allocs)
+	}
+}
+
 func TestReset(t *testing.T) {
 	v := New(3)
 	v.SetClock(0, 4)
