@@ -12,8 +12,9 @@ import (
 // untrusted input reaches: DecodeRunReport, DecodePredictedRace, and
 // DecodeStrict into the three request bodies cleand's handlers decode
 // (a SubmitJobRequest then passes Job.Validate, as in the handler). No
-// input may panic, and every accepted value must encode, decode and
-// encode again to identical bytes.
+// input may panic, every accepted value must encode, decode and encode
+// again to identical bytes, and no accepted input is still accepted with a
+// second value after it.
 func FuzzDecode(f *testing.F) {
 	golden, err := filepath.Glob(filepath.Join("..", "..", "testdata", "golden", "*.json"))
 	if err != nil || len(golden) == 0 {
@@ -40,6 +41,10 @@ func FuzzDecode(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(data)
+		// Trailing data: a second value, garbage, and whitespace only.
+		for _, tail := range []string{"{}", "x", "\n \t"} {
+			f.Add(append(append([]byte(nil), data...), tail...))
+		}
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -55,6 +60,10 @@ func FuzzDecode(f *testing.F) {
 				var v CreateSessionRequest
 				return &v, DecodeStrict(b, &v)
 			})
+			var again CreateSessionRequest
+			if DecodeStrict(append(append([]byte(nil), data...), "{}"...), &again) == nil {
+				t.Fatalf("accepted a second JSON value after %q", data)
+			}
 		}
 		var sj SubmitJobRequest
 		if DecodeStrict(data, &sj) == nil && sj.Job.Validate() == nil {

@@ -19,7 +19,9 @@ package v1
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 )
 
 // SchemaVersion is stamped into every document this package defines,
@@ -546,11 +548,18 @@ func Encode(v interface{}) ([]byte, error) {
 
 // DecodeStrict parses data into v, rejecting unknown fields — a
 // same-version reader that does not know a field must fail loudly rather
-// than silently drop it.
+// than silently drop it — and anything after the one JSON value except
+// whitespace, such as the newline Encode ends every document with.
 func DecodeStrict(data []byte, v interface{}) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("api/v1: trailing data after the JSON value")
+	}
+	return nil
 }
 
 // CheckHeader validates a document's schema/kind stamp.

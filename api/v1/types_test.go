@@ -41,6 +41,26 @@ func TestDecodeRejectsWrongSchemaAndUnknownFields(t *testing.T) {
 	}
 }
 
+func TestDecodeStrictRejectsTrailingData(t *testing.T) {
+	doc, err := Encode(&CreateSessionRequest{Schema: SchemaVersion, Config: SessionConfig{Detection: DetectionCLEAN}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := strings.TrimRight(string(doc), "\n")
+	for _, tail := range []string{"", "\n", " \r\n\t \n"} {
+		var v CreateSessionRequest
+		if err := DecodeStrict([]byte(body+tail), &v); err != nil || v.Config.Detection != DetectionCLEAN {
+			t.Errorf("trailing %q: %v, want the document accepted", tail, err)
+		}
+	}
+	for _, tail := range []string{"{}", "\n{}", " null", "x", "]", "\n" + body, "\x00"} {
+		var v CreateSessionRequest
+		if err := DecodeStrict([]byte(body+tail), &v); err == nil || !strings.Contains(err.Error(), "trailing data") {
+			t.Errorf("trailing %q: %v, want a trailing-data error", tail, err)
+		}
+	}
+}
+
 func TestJobSpecValidate(t *testing.T) {
 	cases := []struct {
 		name string

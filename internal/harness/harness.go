@@ -10,6 +10,7 @@ import (
 	"time"
 
 	clean "repro"
+	"repro/internal/machine"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -84,13 +85,13 @@ func (o Options) workers() int {
 
 // runVariant runs one workload variant through clean.RunWorkload, the
 // run body every whole-workload run in the repository shares. A zero
-// cfg.MaxSteps becomes DefaultMaxSteps, so a buggy workload trips the
-// livelock watchdog instead of hanging cleanbench. Harness configurations
-// are code-authored: one the facade rejects is a bug, and panics in this
-// package's fatal-error style.
+// cfg.MaxSteps becomes machine.DefaultMaxSteps, so a buggy workload
+// trips the livelock watchdog instead of hanging cleanbench. Harness
+// configurations are code-authored: one the facade rejects is a bug, and
+// panics in this package's fatal-error style.
 func runVariant(wl workloads.Workload, scale workloads.Scale, variant workloads.Variant, cfg clean.Config) *clean.Report {
 	if cfg.MaxSteps == 0 {
-		cfg.MaxSteps = DefaultMaxSteps
+		cfg.MaxSteps = machine.DefaultMaxSteps
 	}
 	rep, err := clean.RunWorkload(wl.Name, scale.String(), variant == workloads.Modified, cfg)
 	if err != nil {
@@ -104,7 +105,7 @@ func runVariant(wl workloads.Workload, scale workloads.Scale, variant workloads.
 // elapsed seconds. fn must be safe to call concurrently (harness run
 // closures are: each builds a fresh machine).
 func meanSeconds(workers, reps int, fn func(rep int) time.Duration) (mean, ci float64) {
-	ds := ForEachIndexed(workers, reps, fn)
+	ds := stats.ForEachIndexed(workers, reps, fn)
 	xs := make([]float64, 0, reps)
 	for _, d := range ds {
 		xs = append(xs, d.Seconds())

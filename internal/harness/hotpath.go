@@ -21,8 +21,9 @@ import (
 // quantity every §6 slowdown figure ultimately rests on — as a set of
 // steady-state micro-measurements: the shadow region's single-epoch and
 // vectorized (§4.4) operations on their unsynchronized fast lane, the
-// machine's full instrumented access with and without CLEAN attached, and
-// one contended Kendo lock/unlock pair.
+// machine's full instrumented access with and without CLEAN attached, one
+// scheduler step that hands the processor to another thread, and one
+// contended Kendo lock/unlock pair.
 //
 // With Options.JSONDir set the results land in BENCH_hotpath.json as
 // hotpath.<name>.ns_per_op / hotpath.<name>.allocs_per_op summary gauges,
@@ -129,6 +130,7 @@ func Hotpath(w io.Writer, o Options) error {
 		{"machine.access_clean", func(b *testing.B) {
 			benchMachineAccess(b, core.New(core.Config{}))
 		}},
+		{"machine.step", benchMachineStep},
 		{"machine.kendo_lock", benchKendoLock},
 	}
 
@@ -239,6 +241,35 @@ func benchMachineAccess(b *testing.B, det machine.Detector) {
 		for i := 0; i < b.N; i++ {
 			t.StoreU64(a+uint64(i%512)*8, uint64(i))
 		}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
+// benchMachineStep times one scheduler step that switches goroutines: two
+// threads run Work(1) under YieldEvery 1 and a Picker that alternates
+// between them, so every operation is a scheduling decision that hands
+// the processor to the other thread. Spawning and joining the second
+// thread is amortized over the b.N steps.
+func benchMachineStep(b *testing.B) {
+	turn := 0
+	m := machine.New(machine.Config{YieldEvery: 1, Picker: func(runnable []*machine.Thread) int {
+		turn++
+		return turn % len(runnable)
+	}})
+	work := func(t *machine.Thread, n int) {
+		for i := 0; i < n; i++ {
+			t.Work(1)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	err := m.Run(func(t *machine.Thread) {
+		half := b.N / 2
+		kid := t.Spawn(func(c *machine.Thread) { work(c, b.N-half) })
+		work(t, half)
+		t.Join(kid)
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -24,7 +24,7 @@ func Detect(w io.Writer, o Options) error {
 		var exceptions, waw, raw int
 		// Each repetition is an independent run keyed by its seed: fan the
 		// reps across the worker pool and classify in rep order.
-		errs := ForEachIndexed(o.workers(), reps, func(rep int) error {
+		errs := stats.ForEachIndexed(o.workers(), reps, func(rep int) error {
 			return runVariant(wl, scale, workloads.Unmodified, clean.Config{
 				Seed: int64(rep), DeterministicSync: true, Detection: clean.DetectCLEAN,
 			}).Err
@@ -82,7 +82,7 @@ func Determinism(w io.Writer, o Options) error {
 			err error
 			cur fp
 		}
-		outs := ForEachIndexed(o.workers(), reps, func(rep int) repOut {
+		outs := stats.ForEachIndexed(o.workers(), reps, func(rep int) repOut {
 			r := runVariant(wl, scale, workloads.Modified, clean.Config{
 				Seed: int64(rep), DeterministicSync: true, Detection: clean.DetectCLEAN,
 			})

@@ -49,7 +49,7 @@ func Perf(w io.Writer, o Options) error {
 			Detection:         clean.DetectCLEAN,
 		}})
 	}
-	outs := ForEachIndexed(o.workers(), len(jobs), func(i int) *clean.Report {
+	outs := stats.ForEachIndexed(o.workers(), len(jobs), func(i int) *clean.Report {
 		cfg := jobs[i].cfg
 		cfg.Metrics = clean.NewMetrics()
 		return runVariant(jobs[i].wl, scale, workloads.Modified, cfg)

@@ -11,16 +11,11 @@ import (
 	clean "repro"
 	apiv1 "repro/api/v1"
 	"repro/internal/faults"
+	"repro/internal/machine"
 	"repro/internal/stats"
 	"repro/internal/vclock"
 	"repro/internal/workloads"
 )
-
-// DefaultMaxSteps is the scheduler-step budget runVariant applies when a
-// configuration does not choose its own: roughly 25x the largest
-// native-scale run, so a buggy or fault-degraded workload can never hang
-// cmd/cleanbench, while no legitimate experiment comes near it.
-const DefaultMaxSteps = 200_000_000
 
 // faultReport is the outcome of one fault-injected run.
 type faultReport struct {
@@ -106,7 +101,7 @@ func runFaultOnce(wl workloads.Workload, scale workloads.Scale, variant workload
 // calibrate measures a fault-free run of the workload so PlanFor can place
 // triggers inside its extent.
 func calibrate(wl workloads.Workload, scale workloads.Scale, variant workloads.Variant, seed int64, yieldEvery int) faults.Profile {
-	rep := runFaultOnce(wl, scale, variant, faults.Plan{}, seed, DefaultMaxSteps, yieldEvery)
+	rep := runFaultOnce(wl, scale, variant, faults.Plan{}, seed, machine.DefaultMaxSteps, yieldEvery)
 	return faults.Profile{
 		Ops:            rep.Stats.Ops,
 		Steps:          rep.Stats.Steps,

@@ -61,7 +61,7 @@ func Fig7(w io.Writer, o Options) error {
 	// One independent run per workload: fan across the suite, report in
 	// suite order. Frequencies are deterministic, so the table is
 	// byte-identical however the runs were scheduled.
-	results := ForEachIndexed(o.workers(), len(suite), func(i int) *clean.Report {
+	results := stats.ForEachIndexed(o.workers(), len(suite), func(i int) *clean.Report {
 		return runVariant(suite[i], scale, workloads.Modified, clean.Config{YieldEvery: o.yieldEvery()})
 	})
 	for i, wl := range suite {
@@ -164,7 +164,7 @@ func Table1(w io.Writer, o Options) error {
 	for _, wl := range perfSuite() {
 		// The narrow runs are fanned out by index so the per-rep rollover
 		// counts can be summed afterwards without a shared accumulator.
-		runs := ForEachIndexed(o.workers(), reps, func(rep int) *clean.Report {
+		runs := stats.ForEachIndexed(o.workers(), reps, func(rep int) *clean.Report {
 			return run(wl, narrow, rep)
 		})
 		var rollovers uint64

@@ -16,7 +16,9 @@
 // threads, and IsTurn, WaitForTurn and WaitForTurnObserved are derived
 // from it; QueueDepth follows from the same fact, since every participant
 // but the holder waits. A scheduler that asks once per step therefore pays
-// for one scan, not one scan per waiter.
+// for one scan, not one scan per waiter, and a runtime that hands that
+// holder to the thread it resumes (Runtime.KnownHolder) spares the
+// thread's own turn check the scan as well.
 //
 // The package is pure algorithm: it sees threads through the Runtime
 // interface and owns no scheduling machinery, so its turn-taking and
@@ -41,6 +43,11 @@ type Runtime interface {
 	// in a condition wait or join is deterministically re-inserted when
 	// woken, per WakeCounter).
 	Participating(tid int) bool
+	// KnownHolder returns the turn holder when the runtime already knows
+	// it, or -1 to make the caller scan. A scheduler that found the holder
+	// for the step that resumed the calling thread, with no counter or
+	// participation changed since, answers here; IsTurn trusts it.
+	KnownHolder() int
 	// Yield relinquishes the processor so other threads can advance their
 	// counters; the caller re-checks its turn when scheduled again.
 	Yield()
@@ -63,8 +70,15 @@ func Holder(rt Runtime) int {
 	return holder
 }
 
-// IsTurn reports whether thread tid currently holds the deterministic turn.
-func IsTurn(rt Runtime, tid int) bool { return Holder(rt) == tid }
+// IsTurn reports whether thread tid currently holds the deterministic turn,
+// scanning only when the runtime does not already know the holder.
+func IsTurn(rt Runtime, tid int) bool {
+	h := rt.KnownHolder()
+	if h < 0 {
+		h = Holder(rt)
+	}
+	return h == tid
+}
 
 // WaitForTurn spins (yielding the processor) until tid holds the turn.
 // Progress: every participating thread either advances its counter with its
@@ -102,9 +116,12 @@ func WaitForTurnObserved(rt Runtime, tid int, obs WaitObserver) {
 	}
 	obs.WaitBegin(tid)
 	var yields uint64
-	for !IsTurn(rt, tid) {
+	for {
 		yields++
 		rt.Yield()
+		if IsTurn(rt, tid) {
+			break
+		}
 	}
 	obs.WaitEnd(tid, yields)
 }

@@ -30,6 +30,7 @@ func (f *fakeRT) Counter(tid int) uint64 {
 	return f.counters[tid]
 }
 func (f *fakeRT) Participating(tid int) bool { return tid < len(f.parts) && f.parts[tid] }
+func (f *fakeRT) KnownHolder() int           { return -1 }
 func (f *fakeRT) Yield()                     { f.yields++ }
 
 // allPairsTurn is the turn rule as the machine first checked it, one
@@ -97,6 +98,28 @@ func TestIsTurnSingleThread(t *testing.T) {
 	rt := &fakeRT{counters: []uint64{42}, parts: allTrue(1)}
 	if !IsTurn(rt, 0) {
 		t.Error("a lone thread always holds the turn")
+	}
+}
+
+// knownRT is a runtime that already knows the holder and has no counters
+// to scan: every Counter or Participating call would panic on its empty
+// tables.
+type knownRT struct {
+	fakeRT
+	holder int
+}
+
+func (k *knownRT) KnownHolder() int { return k.holder }
+
+func TestIsTurnTrustsKnownHolder(t *testing.T) {
+	rt := &knownRT{fakeRT: fakeRT{unused: 3}, holder: 2}
+	if !IsTurn(rt, 2) || IsTurn(rt, 0) {
+		t.Fatal("IsTurn ignored the runtime's known holder")
+	}
+	// -1 means unknown: IsTurn falls back to the scan.
+	scan := &knownRT{fakeRT: fakeRT{counters: []uint64{4, 2}, parts: allTrue(2)}, holder: -1}
+	if !IsTurn(scan, 1) || IsTurn(scan, 0) {
+		t.Fatal("with no known holder, IsTurn must scan")
 	}
 }
 

@@ -119,7 +119,10 @@ type Config struct {
 	// at every scheduling point it receives the runnable threads in
 	// ascending id order and returns the index to dispatch. The
 	// exhaustive-exploration checker (internal/explore) drives runs
-	// through this hook.
+	// through this hook. It is called on the goroutine of the thread
+	// that yielded or finished (Run's own for the first decision), so it
+	// must not call runtime.Goexit or t.FailNow; a panic in it, or an
+	// index out of range, ends the run with an ErrScheduler MachineError.
 	Picker func(runnable []*Thread) int
 	// MaxSteps bounds the number of scheduler steps (dispatches plus
 	// stalled scheduling rounds); 0 means unlimited. Exceeding the budget
@@ -142,6 +145,12 @@ type Config struct {
 	// rendered trace is byte-identical for a fixed (seed, workload).
 	Timeline *telemetry.Timeline
 }
+
+// DefaultMaxSteps is the MaxSteps budget the experiment harness and the
+// service apply when a configuration does not choose its own: roughly 25x
+// the largest native-scale run, so a buggy or fault-degraded workload can
+// never hang a caller, while no legitimate run comes near it.
+const DefaultMaxSteps = 200_000_000
 
 // Injector is the deterministic fault-injection hook. Every method is
 // called at a point that is a pure function of (seed, program, plan), so a
@@ -200,8 +209,17 @@ type Machine struct {
 	nextTID  int
 	liveID   int // monotone spawn sequence, for diagnostics
 
-	yielded chan *Thread
-	krt     kendoRT // the scheduler's Kendo view (no calling thread)
+	done chan struct{} // closed by the goroutine whose scheduling decision ends the run
+	krt  kendoRT       // the scheduler's Kendo view (no calling thread)
+
+	// turn is the Kendo turn holder wakeDetWaiters found for the current
+	// scheduling step. The dispatched thread's first turn check takes it
+	// (kendoRT.KnownHolder) instead of rescanning. -1 means unknown: the
+	// step found none, the check already took it, or a participation or a
+	// counter changed since.
+	turn int
+	// holderCheck, when set (tests), rescans at every reuse of turn.
+	holderCheck *holderCheck
 
 	stopErr      error
 	resetPending bool
@@ -254,7 +272,8 @@ func New(cfg Config) *Machine {
 		layout:        cfg.Layout,
 		mem:           memory.New(),
 		rng:           rand.New(rand.NewSource(cfg.Seed)),
-		yielded:       make(chan *Thread),
+		done:          make(chan struct{}),
+		turn:          -1,
 		finalCounters: make(map[int]uint64),
 		initErr:       initErr,
 	}
@@ -338,8 +357,13 @@ func (m *Machine) HashMem(addr uint64, n int) uint64 {
 // exception, a *DeadlockError when no thread can make progress, a
 // *LivelockError when the MaxSteps budget is exhausted, or a
 // *MachineError for a contained crash (workload panic, API misuse,
-// orphaned lock, bad configuration).
-func (m *Machine) Run(root func(*Thread)) (err error) {
+// orphaned lock, bad configuration, scheduler failure).
+//
+// There is no scheduler goroutine: Run makes the first scheduling
+// decision, and from then on the thread that yields or finishes makes the
+// next one itself (next) and hands the processor over (dispatch). Run
+// waits for the decision that ends the run.
+func (m *Machine) Run(root func(*Thread)) error {
 	if m.initErr != nil {
 		return m.initErr
 	}
@@ -347,16 +371,7 @@ func (m *Machine) Run(root func(*Thread)) (err error) {
 		return &MachineError{Kind: ErrConfig, TID: -1, Op: "run", Msg: "machine is single-use; Run called twice"}
 	}
 	m.ran = true
-	// Contain scheduler-level panics (for example a misbehaving Picker)
-	// as structured errors. Thread goroutines may remain parked after
-	// such a failure — the machine is single-use, so they are abandoned.
-	defer func() {
-		if r := recover(); r != nil {
-			err = &MachineError{Kind: ErrScheduler, TID: -1, Op: "schedule",
-				Msg: fmt.Sprint(r), PanicValue: r, Dump: m.dump()}
-		}
-		m.publish()
-	}()
+	defer m.publish()
 	t0, terr := m.newThread(root)
 	if terr != nil {
 		return terr
@@ -367,11 +382,35 @@ func (m *Machine) Run(root func(*Thread)) (err error) {
 	m.tickClock(t0)
 	t0.state = stateRunnable
 	m.startGoroutine(t0)
+	m.dispatch(m.next())
+	<-m.done
+	return m.stopErr
+}
+
+// next makes one scheduling decision on the calling goroutine and returns
+// the thread to dispatch, or nil when the run is over: every thread has
+// finished, or the scheduler itself failed. Rollover resets, deadlock and
+// livelock detection and injected stalls are handled here, between
+// dispatches. A scheduler panic (for example a misbehaving Picker) is
+// contained as an ErrScheduler result; the run's thread goroutines stay
+// parked and are abandoned, since the machine is single-use.
+func (m *Machine) next() (next *Thread) {
+	defer func() {
+		if r := recover(); r != nil {
+			m.stopErr = &MachineError{Kind: ErrScheduler, TID: -1, Op: "schedule",
+				Msg: fmt.Sprint(r), PanicValue: r, Dump: m.dump()}
+			next = nil
+		}
+	}()
+	if m.stopErr != nil {
+		// Let every thread observe the stop at its next scheduling point.
+		m.forceUnblockAll()
+	}
 	for {
 		t, stalled := m.pick()
 		if t == nil && !stalled {
 			if m.allFinished() {
-				break
+				return nil
 			}
 			if m.stopErr == nil && m.resetPending {
 				m.performReset()
@@ -399,13 +438,19 @@ func (m *Machine) Run(root func(*Thread)) (err error) {
 			continue
 		}
 		m.note(t.ID)
-		t.resume <- struct{}{}
-		<-m.yielded
-		if m.stopErr != nil {
-			m.forceUnblockAll()
-		}
+		return t
 	}
-	return m.stopErr
+}
+
+// dispatch hands the processor to t with one channel send, or ends the
+// run when t is nil. The caller touches no machine state afterwards until
+// it is itself resumed.
+func (m *Machine) dispatch(t *Thread) {
+	if t == nil {
+		close(m.done)
+		return
+	}
+	t.resume <- struct{}{}
 }
 
 // pick selects the next runnable thread under the seeded policy, first
@@ -470,6 +515,7 @@ func (m *Machine) injectSpuriousWakes() {
 		}
 		t.spurious = true
 		t.state = stateRunnable
+		m.turn = -1 // t participates again: the step's holder may be stale
 		m.stats.SpuriousWakes++
 		if tel := m.tel; tel != nil {
 			tel.tl.Instant(t.ID, "spurious wake", "fault", m.now())
@@ -480,12 +526,14 @@ func (m *Machine) injectSpuriousWakes() {
 // wakeDetWaiters resumes deterministic-turn waiters that can make
 // progress: the unique turn holder, or all of them when a rollover reset
 // needs everyone parked. Waking a waiter changes no counter and no
-// participation, so the holder found once stands for the whole round.
+// participation, so the holder found once stands for the whole round, and
+// is kept in m.turn for the dispatched thread's first turn check.
 func (m *Machine) wakeDetWaiters() {
 	if !m.cfg.DetSync {
 		return
 	}
 	if m.resetPending {
+		m.turn = -1
 		for _, t := range m.threads {
 			if t != nil && t.state == stateDetWait {
 				t.state = stateRunnable
@@ -493,8 +541,9 @@ func (m *Machine) wakeDetWaiters() {
 		}
 		return
 	}
-	if h := kendo.Holder(&m.krt); h >= 0 {
-		if t := m.threads[h]; t.state == stateDetWait {
+	m.turn = kendo.Holder(&m.krt)
+	if m.turn >= 0 {
+		if t := m.threads[m.turn]; t.state == stateDetWait {
 			t.state = stateRunnable
 		}
 	}
@@ -665,7 +714,8 @@ func (m *Machine) newThread(fn func(*Thread)) (*Thread, error) {
 // startGoroutine launches t's goroutine; it waits for its first dispatch.
 // Its exit path is the containment boundary: workload panics become
 // structured *MachineError values, injected crashes mark the thread dead
-// and orphan its locks, and in all cases joiners are released.
+// and orphan its locks, and in all cases joiners are released. The
+// finished thread then makes the next scheduling decision.
 func (m *Machine) startGoroutine(t *Thread) {
 	go func() {
 		<-t.resume
@@ -694,7 +744,7 @@ func (m *Machine) startGoroutine(t *Thread) {
 				}
 			}
 			t.joiners = nil
-			m.yielded <- t
+			m.dispatch(m.next())
 		}()
 		if m.stopErr != nil {
 			panic(stopToken)

@@ -98,6 +98,21 @@ func (k *kendoRT) Participating(tid int) bool {
 	}
 }
 
+// KnownHolder hands the holder wakeDetWaiters found for the current step
+// to the first turn check after the dispatch, once; later checks scan.
+// Between that scan and the check no counter or participation changes,
+// except where the machine forgets the holder: a spurious wake
+// (injectSpuriousWakes) and Join's WakeCounter.
+func (k *kendoRT) KnownHolder() int {
+	m := k.m
+	h := m.turn
+	m.turn = -1
+	if c := m.holderCheck; c != nil && h >= 0 {
+		c.verify(h, kendo.Holder(k))
+	}
+	return h
+}
+
 // Yield suspends the thread until the scheduler observes that it holds the
 // deterministic turn. This is an event-driven implementation of Kendo's
 // spin: the set of executed synchronization operations and their
@@ -109,6 +124,17 @@ func (k *kendoRT) Yield() {
 	k.t.yield()
 	for k.m.resetPending {
 		k.t.park()
+	}
+}
+
+// holderCheck counts the reuses of a step's turn holder and those that
+// differ from a fresh kendo.Holder scan; tests attach one to a machine.
+type holderCheck struct{ reuses, mismatches uint64 }
+
+func (c *holderCheck) verify(reused, scanned int) {
+	c.reuses++
+	if reused != scanned {
+		c.mismatches++
 	}
 }
 
@@ -408,6 +434,7 @@ func (t *Thread) Join(child *Thread) {
 		// so the recycling lands at a deterministic place in the
 		// synchronization order.
 		t.DetCounter = kendo.WakeCounter(t.DetCounter, child.DetCounter)
+		m.turn = -1 // t's counter moved since the step's scan
 		t.waitTurn()
 	}
 	// Recycle the id: the parent holds the child's final clock in its

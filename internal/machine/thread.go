@@ -100,11 +100,16 @@ func (t *Thread) Machine() *Machine { return t.m }
 // EPOCH(t) read (Fig. 2) at the cost of one field load.
 func (t *Thread) Epoch() vclock.Epoch { return t.epoch }
 
-// yield hands control to the scheduler and blocks until redispatched.
+// yield is a scheduling point. The thread makes the next scheduling
+// decision itself; unless it picked itself, it hands the processor over
+// and blocks until a later decision picks it again.
 func (t *Thread) yield() {
-	t.m.yielded <- t
-	<-t.resume
-	if t.m.stopErr != nil {
+	m := t.m
+	if next := m.next(); next != t {
+		m.dispatch(next)
+		<-t.resume
+	}
+	if m.stopErr != nil {
 		panic(stopToken)
 	}
 }

@@ -41,11 +41,12 @@ import (
 	apiv1 "repro/api/v1"
 	"repro/internal/faults"
 	"repro/internal/gofront"
-	"repro/internal/harness"
+	"repro/internal/machine"
 	"repro/internal/predict"
 	"repro/internal/prog"
 	"repro/internal/shadow"
 	"repro/internal/staticrace"
+	"repro/internal/stats"
 	"repro/internal/store"
 	"repro/internal/telemetry"
 )
@@ -63,7 +64,7 @@ type Config struct {
 	RunParallelism int
 	// DefaultMaxSteps is the per-run scheduler budget applied when a
 	// session does not set one; it keeps a livelocked submission from
-	// pinning a worker forever (default: harness.DefaultMaxSteps).
+	// pinning a worker forever (default: machine.DefaultMaxSteps).
 	DefaultMaxSteps uint64
 	// RetryAfter is the base client backoff hint attached to queue-full
 	// and store-failure rejections (default 1s); the advertised value
@@ -92,7 +93,7 @@ func (c Config) withDefaults() Config {
 		c.RunParallelism = c.Workers
 	}
 	if c.DefaultMaxSteps == 0 {
-		c.DefaultMaxSteps = harness.DefaultMaxSteps
+		c.DefaultMaxSteps = machine.DefaultMaxSteps
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
@@ -1047,9 +1048,9 @@ func (s *Server) runJob(j *job) []apiv1.RunResult {
 	if par > len(seeds) {
 		par = len(seeds)
 	}
-	// The PR-4 experiment-engine pool fans the independent per-seed runs
-	// out; each run builds its own machine, so they share nothing.
-	results := harness.ForEachIndexed(par, len(seeds), func(i int) apiv1.RunResult {
+	// Fan the independent per-seed runs out; each run builds its own
+	// machine, so they share nothing.
+	results := stats.ForEachIndexed(par, len(seeds), func(i int) apiv1.RunResult {
 		switch {
 		case j.expired():
 			return deadlineResult(j, seeds[i])

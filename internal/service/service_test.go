@@ -503,6 +503,63 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// TestTrailingDataIsABadRequest: on both endpoints that take a body, a
+// request holding a second JSON value or garbage after the first is a 400
+// with an api/v1 error document, while trailing whitespace — the newline
+// apiv1.Encode ends every document with — is accepted.
+func TestTrailingDataIsABadRequest(t *testing.T) {
+	_, c := startTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	post := func(path string, body []byte) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(c.base+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, buf.Bytes()
+	}
+	encode := func(v interface{}) []byte {
+		t.Helper()
+		data, err := apiv1.Encode(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+
+	sessBody := encode(&apiv1.CreateSessionRequest{Schema: apiv1.SchemaVersion,
+		Config: apiv1.SessionConfig{Detection: apiv1.DetectionNone}})
+	status, data := post("/v1/sessions", sessBody)
+	var sess apiv1.Session
+	if status != http.StatusCreated || apiv1.DecodeStrict(data, &sess) != nil {
+		t.Fatalf("create session with the encoder's trailing newline: %d %s", status, data)
+	}
+	jobs := "/v1/sessions/" + sess.ID + "/jobs"
+	jobBody := encode(&apiv1.SubmitJobRequest{Schema: apiv1.SchemaVersion, Job: apiv1.JobSpec{Litmus: "waw"}})
+	if status, data := post(jobs, append(append([]byte(nil), jobBody...), " \n\t"...)); status != http.StatusAccepted {
+		t.Fatalf("submit with trailing whitespace: %d %s", status, data)
+	}
+
+	for _, tail := range []string{"{}", "x", "\n" + string(jobBody)} {
+		for _, req := range []struct {
+			path string
+			body []byte
+		}{{"/v1/sessions", sessBody}, {jobs, jobBody}} {
+			status, data := post(req.path, append(append([]byte(nil), req.body...), tail...))
+			var e apiv1.Error
+			if status != http.StatusBadRequest || apiv1.DecodeStrict(data, &e) != nil ||
+				e.Kind != apiv1.KindError || e.Status != http.StatusBadRequest ||
+				!strings.Contains(e.Message, "trailing data") {
+				t.Errorf("POST %s with trailing %q: %d %s, want a 400 error document", req.path, tail, status, data)
+			}
+		}
+	}
+}
+
 // TestGoSourceJobMatchesInProcess is the gosource acceptance check: a
 // racy Go file submitted over HTTP is lowered server-side and yields a
 // race witness byte-identical to running the same lowering in process;

@@ -1,6 +1,7 @@
 // Package stats provides the small statistical and formatting helpers the
 // evaluation harness uses: means, 95% confidence intervals (the paper
-// reports both, §6.1), geometric means, and fixed-width table rendering.
+// reports both, §6.1), geometric means, fixed-width table rendering, and
+// the bounded fan-out that runs independent measurements in parallel.
 package stats
 
 import (
