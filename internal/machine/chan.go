@@ -98,10 +98,7 @@ func (t *Thread) Send(c *Chan) {
 			// Kendo mode: deterministically retry under the turn, like a
 			// contended Lock — blocked waiting would break determinism.
 			for !c.recvDone(need) {
-				t.DetCounter++
-				m.stats.Ops++
-				t.krt.Yield()
-				t.waitTurn()
+				t.retryTurn()
 			}
 		} else {
 			for !c.recvDone(need) {
@@ -128,10 +125,7 @@ func (t *Thread) Recv(c *Chan) {
 	t.syncEnter()
 	if m.cfg.DetSync {
 		for c.sendArrivals <= c.recvArrivals {
-			t.DetCounter++
-			m.stats.Ops++
-			t.krt.Yield()
-			t.waitTurn()
+			t.retryTurn()
 		}
 	} else {
 		for c.sendArrivals <= c.recvArrivals {

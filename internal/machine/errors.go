@@ -158,7 +158,7 @@ func (d *Dump) String() string {
 	return b.String()
 }
 
-var threadStateNames = [...]string{"new", "runnable", "blocked", "parked", "detwait", "finished"}
+var threadStateNames = [...]string{"new", "blocked", "runnable", "parked", "detwait", "finished"}
 
 func (s threadState) String() string {
 	if int(s) < len(threadStateNames) {

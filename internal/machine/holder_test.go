@@ -11,13 +11,14 @@ import (
 )
 
 // TestStepHolderEqualsFreshScan runs every kernel at test scale under
-// full CLEAN with Kendo and checks that each turn check that reused the
-// holder found for its scheduling step got the holder a fresh
+// full CLEAN with Kendo and checks that every Kendo turn check the
+// machine makes, each grant and each refusal, used the holder a fresh
 // kendo.Holder scan finds. Fault plans that inject spurious condition
 // wakes and thread crashes cover the places where participation changes
-// between the scan and the check.
+// between the step's scan and the check.
 func TestStepHolderEqualsFreshScan(t *testing.T) {
-	run := func(w workloads.Workload, seed int64, plan faults.Plan, tel bool) (machine.Stats, uint64) {
+	type counts struct{ grants, refusals uint64 }
+	run := func(w workloads.Workload, seed int64, plan faults.Plan, tel bool) (machine.Stats, counts) {
 		t.Helper()
 		variant := workloads.Modified
 		if !w.HasModified {
@@ -38,19 +39,21 @@ func TestStepHolderEqualsFreshScan(t *testing.T) {
 		check := machine.CheckStepHolder(m)
 		root, _ := w.Build(m, workloads.ScaleTest, variant)
 		m.Run(root) // races, deadlocks and orphaned locks are outcomes here, not failures
-		reuses, mismatches := check()
+		grants, refusals, mismatches := check()
 		if mismatches > 0 {
-			t.Errorf("%s seed %d plan %v: %d of %d step-holder reuses differ from a fresh scan",
-				w.Name, seed, plan, mismatches, reuses)
+			t.Errorf("%s seed %d plan %v: %d of %d turn checks differ from a fresh scan",
+				w.Name, seed, plan, mismatches, grants+refusals)
 		}
-		return m.Stats(), reuses
+		return m.Stats(), counts{grants, refusals}
 	}
 
-	var reuses, spurious, crashes uint64
+	var total counts
+	var spurious, crashes uint64
+	add := func(c counts) { total.grants += c.grants; total.refusals += c.refusals }
 	for _, w := range workloads.All() {
 		for seed := int64(0); seed < 3; seed++ {
-			st, n := run(w, seed, faults.Plan{}, seed == 1)
-			reuses += n
+			st, c := run(w, seed, faults.Plan{}, seed == 1)
+			add(c)
 			prof := faults.Profile{
 				Ops:            st.Ops,
 				Steps:          st.Steps,
@@ -59,18 +62,18 @@ func TestStepHolderEqualsFreshScan(t *testing.T) {
 				Threads:        workloads.NumThreads + 1,
 			}
 			for _, kind := range []faults.Kind{faults.SpuriousWakeup, faults.ThreadCrash, faults.LockHolderCrash} {
-				st, n := run(w, seed, faults.PlanFor(kind, seed, prof), seed == 2)
-				reuses += n
+				st, c := run(w, seed, faults.PlanFor(kind, seed, prof), seed == 2)
+				add(c)
 				spurious += st.SpuriousWakes
 				crashes += st.Crashes
 			}
 		}
 	}
-	if reuses == 0 {
-		t.Fatal("no turn check reused its step's holder")
+	if total.grants == 0 || total.refusals == 0 {
+		t.Fatalf("%d grants and %d refusals checked; want both", total.grants, total.refusals)
 	}
 	if spurious == 0 || crashes == 0 {
 		t.Fatalf("fault plans fired %d spurious wakes and %d crashes; want both", spurious, crashes)
 	}
-	t.Logf("%d step-holder reuses, %d spurious wakes, %d crashes", reuses, spurious, crashes)
+	t.Logf("%d grants, %d refusals, %d spurious wakes, %d crashes", total.grants, total.refusals, spurious, crashes)
 }

@@ -25,7 +25,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/kendo"
 	"repro/internal/memory"
 	"repro/internal/telemetry"
 	"repro/internal/vclock"
@@ -202,7 +201,7 @@ type Machine struct {
 	cfg    Config
 	layout vclock.Layout
 	mem    *memory.Memory
-	rng    *rand.Rand
+	rng    *rand.Rand // seeded at the first draw
 
 	threads  []*Thread // dense slot per live tid; nil when never used
 	freeTIDs []int     // reusable ids of joined threads (§4.5), kept sorted
@@ -210,16 +209,14 @@ type Machine struct {
 	liveID   int // monotone spawn sequence, for diagnostics
 
 	done chan struct{} // closed by the goroutine whose scheduling decision ends the run
-	krt  kendoRT       // the scheduler's Kendo view (no calling thread)
 
-	// turn is the Kendo turn holder wakeDetWaiters found for the current
-	// scheduling step. The dispatched thread's first turn check takes it
-	// (kendoRT.KnownHolder) instead of rescanning. -1 means unknown: the
-	// step found none, the check already took it, or a participation or a
-	// counter changed since.
+	// turn is the Kendo turn holder of the current scheduling step, which
+	// pick finds under DetSync (-1 when no thread participates). next
+	// grants or refuses the turn with it.
 	turn int
-	// holderCheck, when set (tests), rescans at every reuse of turn.
-	holderCheck *holderCheck
+	// turnCheck, when set (tests), sees every Kendo turn check: the
+	// checked thread and the holder it was checked against.
+	turnCheck func(t *Thread, holder int)
 
 	stopErr      error
 	resetPending bool
@@ -271,18 +268,15 @@ func New(cfg Config) *Machine {
 		cfg:           cfg,
 		layout:        cfg.Layout,
 		mem:           memory.New(),
-		rng:           rand.New(rand.NewSource(cfg.Seed)),
 		done:          make(chan struct{}),
-		turn:          -1,
 		finalCounters: make(map[int]uint64),
 		initErr:       initErr,
 	}
-	m.krt = kendoRT{m: m}
 	m.accessCtr = [2][2]*uint64{
 		{&m.stats.PrivateAccesses, &m.stats.PrivateAccesses},
 		{&m.stats.SharedReads, &m.stats.SharedWrites},
 	}
-	m.tel = newMachineTel(m, cfg)
+	m.tel = newMachineTel(cfg)
 	return m
 }
 
@@ -343,10 +337,8 @@ func (m *Machine) AllocPrivate(n, align int) uint64 { return m.mem.Alloc(n, fals
 // program outputs across runs in the determinism experiments.
 func (m *Machine) HashMem(addr uint64, n int) uint64 {
 	h := fnv.New64a()
-	var buf [1]byte
-	for i := 0; i < n; i++ {
-		buf[0] = byte(m.mem.Load(addr+uint64(i), 1))
-		h.Write(buf[:])
+	if n > 0 {
+		h.Write(m.mem.Bytes(addr, n))
 	}
 	return h.Sum64()
 }
@@ -390,10 +382,11 @@ func (m *Machine) Run(root func(*Thread)) error {
 // next makes one scheduling decision on the calling goroutine and returns
 // the thread to dispatch, or nil when the run is over: every thread has
 // finished, or the scheduler itself failed. Rollover resets, deadlock and
-// livelock detection and injected stalls are handled here, between
-// dispatches. A scheduler panic (for example a misbehaving Picker) is
-// contained as an ErrScheduler result; the run's thread goroutines stay
-// parked and are abandoned, since the machine is single-use.
+// livelock detection, injected stalls and the Kendo turn checks of picked
+// threads are handled here, between dispatches. A scheduler panic (for
+// example a misbehaving Picker) is contained as an ErrScheduler result;
+// the run's thread goroutines stay parked and are abandoned, since the
+// machine is single-use.
 func (m *Machine) next() (next *Thread) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -438,8 +431,40 @@ func (m *Machine) next() (next *Thread) {
 			continue
 		}
 		m.note(t.ID)
+		if t.awaitsTurn && m.stopErr == nil && !m.resetPending && !m.takeTurn(t, m.turn) {
+			continue // t waits on for the turn; decide again
+		}
 		return t
 	}
+}
+
+// takeTurn makes t's Kendo turn check (§3.3) against holder, the turn
+// holder at this point: next makes it for a picked thread that awaits the
+// turn, Join for itself. A grant ends the wait. A refusal is one yield of
+// the wait: t waits on in stateDetWait until a later step finds it
+// holding the turn. The telemetry sees a wait from its first refusal to
+// its grant; a turn granted at once costs nothing.
+func (m *Machine) takeTurn(t *Thread, holder int) bool {
+	if m.turnCheck != nil {
+		m.turnCheck(t, holder)
+	}
+	if holder != t.ID {
+		m.stats.DetWaitYields++
+		t.state = stateDetWait
+		if t.turnYields == 0 {
+			t.waitStart = m.now()
+		}
+		t.turnYields++
+		return false
+	}
+	t.awaitsTurn = false
+	if t.turnYields > 0 {
+		if tel := m.tel; tel != nil {
+			tel.kendoWait(t, m.now())
+		}
+		t.turnYields = 0
+	}
+	return true
 }
 
 // dispatch hands the processor to t with one channel send, or ends the
@@ -459,10 +484,18 @@ func (m *Machine) dispatch(t *Thread) {
 // second result reports that runnable threads exist but every one of them
 // is stalled by an injected scheduler fault this round.
 func (m *Machine) pick() (*Thread, bool) {
-	m.wakeDetWaiters()
-	m.injectSpuriousWakes()
-	if tel := m.tel; tel != nil && m.cfg.DetSync {
-		tel.kendoQueueDepth.Observe(float64(kendo.QueueDepth(&m.krt)))
+	if m.cfg.DetSync {
+		queued := m.wakeDetWaiters()
+		if m.injectSpuriousWakes() {
+			// The woken threads compete for the turn again.
+			m.turn, queued = m.scanTurn()
+		}
+		if tel := m.tel; tel != nil {
+			// Every participant but the holder waits for the turn.
+			tel.kendoQueueDepth.Observe(float64(max(queued-1, 0)))
+		}
+	} else {
+		m.injectSpuriousWakes()
 	}
 	inj := m.cfg.Injector
 	runnable := m.runnableBuf[:0]
@@ -488,16 +521,28 @@ func (m *Machine) pick() (*Thread, bool) {
 		}
 		return runnable[i], false
 	}
-	return runnable[m.rng.Intn(len(runnable))], false
+	return runnable[m.draw(len(runnable))], false
+}
+
+// draw returns a seeded-random index below n. The source is seeded at
+// the first draw: seeding math/rand's source costs more than a short run,
+// and a run under a Picker draws only when it wakes a mutex or condition
+// waiter at random.
+func (m *Machine) draw(n int) int {
+	if m.rng == nil {
+		m.rng = rand.New(rand.NewSource(m.cfg.Seed))
+	}
+	return m.rng.Intn(n)
 }
 
 // injectSpuriousWakes wakes condition-blocked threads the fault plan says
 // should resume without a signal, removing them from their condition's
-// waiter list so a later Signal does not wake them twice.
-func (m *Machine) injectSpuriousWakes() {
+// waiter list so a later Signal does not wake them twice. It reports
+// whether it woke any.
+func (m *Machine) injectSpuriousWakes() (woke bool) {
 	inj := m.cfg.Injector
 	if inj == nil || m.stopErr != nil {
-		return
+		return false
 	}
 	for _, t := range m.threads {
 		if t == nil || t.state != stateBlocked || t.waitingCond == nil {
@@ -515,38 +560,56 @@ func (m *Machine) injectSpuriousWakes() {
 		}
 		t.spurious = true
 		t.state = stateRunnable
-		m.turn = -1 // t participates again: the step's holder may be stale
+		woke = true
 		m.stats.SpuriousWakes++
 		if tel := m.tel; tel != nil {
 			tel.tl.Instant(t.ID, "spurious wake", "fault", m.now())
 		}
 	}
+	return woke
 }
 
-// wakeDetWaiters resumes deterministic-turn waiters that can make
-// progress: the unique turn holder, or all of them when a rollover reset
-// needs everyone parked. Waking a waiter changes no counter and no
-// participation, so the holder found once stands for the whole round, and
-// is kept in m.turn for the dispatched thread's first turn check.
-func (m *Machine) wakeDetWaiters() {
-	if !m.cfg.DetSync {
-		return
-	}
+// wakeDetWaiters finds the step's Kendo turn holder and resumes the
+// deterministic-turn waiters that can make progress: the holder, or all
+// of them when a rollover reset needs everyone parked. Waking a waiter
+// changes no counter and no participation, so the holder found before
+// the wakes stands after them. It returns the number of participants.
+func (m *Machine) wakeDetWaiters() int {
+	holder, participants := m.scanTurn()
+	m.turn = holder
 	if m.resetPending {
-		m.turn = -1
 		for _, t := range m.threads {
 			if t != nil && t.state == stateDetWait {
 				t.state = stateRunnable
 			}
 		}
-		return
-	}
-	m.turn = kendo.Holder(&m.krt)
-	if m.turn >= 0 {
-		if t := m.threads[m.turn]; t.state == stateDetWait {
+	} else if holder >= 0 {
+		if t := m.threads[holder]; t.state == stateDetWait {
 			t.state = stateRunnable
 		}
 	}
+	return participants
+}
+
+// scanTurn returns the Kendo turn holder, the participating thread with
+// the least (counter, id) or -1 when none participates, and the number
+// of participants, in one pass over the thread slots. It is kendo.Holder
+// over the machine's own threads; the tests check every turn check's
+// holder against kendo.Holder.
+func (m *Machine) scanTurn() (holder, participants int) {
+	holder = -1
+	var least uint64
+	for tid, t := range m.threads {
+		if t == nil || !t.state.participates() {
+			continue
+		}
+		participants++
+		// Ids ascend, so a strict comparison keeps the lower id on a tie.
+		if holder < 0 || t.DetCounter < least {
+			holder, least = tid, t.DetCounter
+		}
+	}
+	return holder, participants
 }
 
 func (m *Machine) allFinished() bool {
@@ -699,7 +762,6 @@ func (m *Machine) newThread(fn func(*Thread)) (*Thread, error) {
 		sfrStart: m.stats.Ops, // the first SFR begins at spawn time
 		epoch:    m.layout.Pack(tid, 0),
 	}
-	t.krt = kendoRT{m: m, t: t}
 	m.liveID++
 	for len(m.threads) <= tid {
 		m.threads = append(m.threads, nil)

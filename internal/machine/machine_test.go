@@ -3,6 +3,7 @@ package machine
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"repro/internal/vclock"
@@ -541,6 +542,38 @@ func TestHashMemDetectsDifference(t *testing.T) {
 	}
 	if h1 == m2.HashMem(a2, 16) {
 		t.Error("different memories hashed equal")
+	}
+}
+
+// TestHashMemIsByteWiseFNV: HashMem is FNV-1a over the region's bytes in
+// address order, the same as hashing them one at a time, and an empty
+// region hashes nothing, wherever it starts.
+func TestHashMemIsByteWiseFNV(t *testing.T) {
+	m := New(Config{})
+	a := m.AllocShared(24, 8)
+	p := m.AllocPrivate(8, 8)
+	if err := m.Run(func(th *Thread) {
+		th.StoreU64(a, 0x0102030405060708)
+		th.StoreU64(a+13, 0xfeedface)
+		th.StoreU64(p, 42)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	empty := fnv.New64a().Sum64()
+	for _, r := range []struct {
+		addr uint64
+		n    int
+	}{{a, 24}, {a + 3, 17}, {a + 23, 1}, {p, 8}, {a, 0}, {a + 1<<20, 0}} {
+		h := fnv.New64a()
+		for i := 0; i < r.n; i++ {
+			h.Write([]byte{byte(m.Mem().Load(r.addr+uint64(i), 1))})
+		}
+		if got, want := m.HashMem(r.addr, r.n), h.Sum64(); got != want {
+			t.Errorf("HashMem(%#x, %d) = %#x, want %#x", r.addr, r.n, got, want)
+		}
+		if r.n == 0 && m.HashMem(r.addr, r.n) != empty {
+			t.Errorf("HashMem(%#x, 0) hashed something", r.addr)
+		}
 	}
 }
 

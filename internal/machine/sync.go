@@ -72,85 +72,33 @@ func (m *Machine) NewBarrier(n int) *Barrier {
 	return b
 }
 
-// kendoRT adapts the machine to the kendo.Runtime view. Every thread
-// holds one naming itself, for its own turn waits, and the machine holds
-// one with t nil, for the scheduler's queries. Kendo receives a pointer
-// to it, so no turn query allocates.
-type kendoRT struct {
-	m *Machine
-	t *Thread
-}
-
-func (k *kendoRT) Threads() int { return len(k.m.threads) }
-
-func (k *kendoRT) Counter(tid int) uint64 { return k.m.threads[tid].DetCounter }
-
-func (k *kendoRT) Participating(tid int) bool {
-	t := k.m.threads[tid]
-	if t == nil {
-		return false // never used, or recycled after a join
-	}
-	switch t.state {
-	case stateRunnable, stateParked, stateDetWait:
-		return true
-	default:
-		return false
-	}
-}
-
-// KnownHolder hands the holder wakeDetWaiters found for the current step
-// to the first turn check after the dispatch, once; later checks scan.
-// Between that scan and the check no counter or participation changes,
-// except where the machine forgets the holder: a spurious wake
-// (injectSpuriousWakes) and Join's WakeCounter.
-func (k *kendoRT) KnownHolder() int {
-	m := k.m
-	h := m.turn
-	m.turn = -1
-	if c := m.holderCheck; c != nil && h >= 0 {
-		c.verify(h, kendo.Holder(k))
-	}
-	return h
-}
-
-// Yield suspends the thread until the scheduler observes that it holds the
-// deterministic turn. This is an event-driven implementation of Kendo's
-// spin: the set of executed synchronization operations and their
-// (counter, tid) order are identical, but waiting threads cost no
-// scheduler dispatches while others catch up.
-func (k *kendoRT) Yield() {
-	k.m.stats.DetWaitYields++
-	k.t.state = stateDetWait
-	k.t.yield()
-	for k.m.resetPending {
-		k.t.park()
-	}
-}
-
-// holderCheck counts the reuses of a step's turn holder and those that
-// differ from a fresh kendo.Holder scan; tests attach one to a machine.
-type holderCheck struct{ reuses, mismatches uint64 }
-
-func (c *holderCheck) verify(reused, scanned int) {
-	c.reuses++
-	if reused != scanned {
-		c.mismatches++
-	}
-}
-
 // syncEnter is the common prologue of every synchronization operation: a
 // scheduling point, a rollover-reset rendezvous (§4.5), and — with
-// deterministic synchronization on — the Kendo turn wait (§3.3). When it
-// returns, the thread holds the processor and (in deterministic mode) the
-// turn, and may complete the operation without further yields.
+// deterministic synchronization on — the Kendo turn wait (§3.3). The
+// turn check is the scheduler's (Machine.takeTurn): it dispatches a
+// thread awaiting the turn only once it holds it, or to park for a
+// pending reset, or to unwind a stop. When syncEnter returns, the thread
+// holds the processor and (in deterministic mode) the turn, and may
+// complete the operation without further yields.
 func (t *Thread) syncEnter() {
+	t.awaitsTurn = t.m.cfg.DetSync
 	t.yield()
 	for t.m.resetPending {
 		t.park()
 	}
-	if t.m.cfg.DetSync {
-		t.waitTurn()
-	}
+}
+
+// retryTurn is Kendo's deterministic retry (deterministic mode only) of
+// an operation that found its object unavailable under the turn — a held
+// mutex, an empty channel, a send's slot still full: the failed attempt
+// advances the counter, and the thread gives up the turn and waits until
+// it holds it again.
+func (t *Thread) retryTurn() {
+	t.DetCounter++
+	t.m.stats.Ops++
+	t.m.stats.DetWaitYields++
+	t.state = stateDetWait
+	t.syncEnter()
 }
 
 // syncDone is the common epilogue: it charges the operation to the
@@ -184,10 +132,7 @@ func (t *Thread) Lock(l *Mutex) {
 		for l.holder != nil {
 			contended = true
 			t.checkOrphan(l)
-			t.DetCounter++
-			m.stats.Ops++
-			t.krt.Yield()
-			t.waitTurn()
+			t.retryTurn()
 		}
 	} else {
 		for l.holder != nil {
@@ -251,7 +196,7 @@ func (t *Thread) unlockLocked(l *Mutex) {
 	if !t.m.cfg.DetSync && len(l.waiters) > 0 {
 		// Wake one blocked acquirer, chosen by the seeded policy —
 		// this is a source of scheduling nondeterminism.
-		i := t.m.rng.Intn(len(l.waiters))
+		i := t.m.draw(len(l.waiters))
 		w := l.waiters[i]
 		l.waiters = append(l.waiters[:i], l.waiters[i+1:]...)
 		w.state = stateRunnable
@@ -311,7 +256,7 @@ func (t *Thread) Signal(c *Cond) {
 	if len(c.waiters) > 0 {
 		i := 0
 		if !t.m.cfg.DetSync {
-			i = t.m.rng.Intn(len(c.waiters))
+			i = t.m.draw(len(c.waiters))
 		}
 		w := c.waiters[i]
 		c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
@@ -434,8 +379,9 @@ func (t *Thread) Join(child *Thread) {
 		// so the recycling lands at a deterministic place in the
 		// synchronization order.
 		t.DetCounter = kendo.WakeCounter(t.DetCounter, child.DetCounter)
-		m.turn = -1 // t's counter moved since the step's scan
-		t.waitTurn()
+		if holder, _ := m.scanTurn(); !m.takeTurn(t, holder) {
+			t.syncEnter() // refused: wait for the turn like any sync op
+		}
 	}
 	// Recycle the id: the parent holds the child's final clock in its
 	// own vector, so a future thread reusing this id continues the

@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"repro/internal/kendo"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
@@ -36,12 +35,6 @@ type machineTel struct {
 	kendoWaitYields *telemetry.Histogram
 	kendoQueueDepth *telemetry.Histogram
 
-	// waitObs is the kendo.WaitObserver handed to WaitForTurnObserved,
-	// built once so the interface conversion never allocates per wait.
-	waitObs kendo.WaitObserver
-	// waitStart records, per tid, the logical start time of the wait in
-	// flight (several threads can be parked in waits simultaneously).
-	waitStart []uint64
 	// waitYieldsByTID holds per-thread yield counters (kendo.wait_yields.t<n>),
 	// resolved lazily once per tid.
 	waitYieldsByTID []*telemetry.Counter
@@ -49,7 +42,7 @@ type machineTel struct {
 
 // newMachineTel returns the telemetry state for cfg, or nil when both the
 // registry and the timeline are disabled.
-func newMachineTel(m *Machine, cfg Config) *machineTel {
+func newMachineTel(cfg Config) *machineTel {
 	if cfg.Metrics == nil && cfg.Timeline == nil {
 		return nil
 	}
@@ -70,7 +63,6 @@ func newMachineTel(m *Machine, cfg Config) *machineTel {
 		{tel.privateAccesses, tel.privateAccesses},
 		{tel.sharedReads, tel.sharedWrites},
 	}
-	tel.waitObs = &kendoWaitObs{m: m}
 	return tel
 }
 
@@ -126,41 +118,18 @@ func (t *Thread) endSFR(name string) {
 	t.sfrStart = now
 }
 
-// kendoWaitObs attributes deterministic-turn waits (kendo.WaitObserver):
-// contended waits produce one kendo.wait_ops count, one wait_yields
-// observation, a per-thread yield count, and a timeline span; immediate
-// passes cost nothing.
-type kendoWaitObs struct{ m *Machine }
-
-func (o *kendoWaitObs) WaitBegin(tid int) {
-	tel := o.m.tel
-	for len(tel.waitStart) <= tid {
-		tel.waitStart = append(tel.waitStart, 0)
-	}
-	tel.waitStart[tid] = o.m.now()
-}
-
-func (o *kendoWaitObs) WaitEnd(tid int, yields uint64) {
-	tel := o.m.tel
+// kendoWait attributes t's contended Kendo turn wait, granted at now
+// after t.turnYields refusals: one kendo.wait_ops count, one wait_yields
+// observation, a per-thread yield count, and a timeline span.
+func (tel *machineTel) kendoWait(t *Thread, now uint64) {
 	tel.kendoWaits.Inc()
-	tel.kendoWaitYields.Observe(float64(yields))
-	for len(tel.waitYieldsByTID) <= tid {
+	tel.kendoWaitYields.Observe(float64(t.turnYields))
+	for len(tel.waitYieldsByTID) <= t.ID {
 		tel.waitYieldsByTID = append(tel.waitYieldsByTID, nil)
 	}
-	if tel.waitYieldsByTID[tid] == nil && tel.reg != nil {
-		tel.waitYieldsByTID[tid] = tel.reg.Counter("kendo.wait_yields.t" + itoa(tid))
+	if tel.waitYieldsByTID[t.ID] == nil && tel.reg != nil {
+		tel.waitYieldsByTID[t.ID] = tel.reg.Counter("kendo.wait_yields.t" + itoa(t.ID))
 	}
-	tel.waitYieldsByTID[tid].Add(yields)
-	tel.tl.Span(tid, "kendo wait", "kendo", tel.waitStart[tid], o.m.now())
-}
-
-// waitTurn waits for the Kendo turn (§3.3), attributing the wait to
-// telemetry when enabled. The yield sequence is identical either way, so
-// enabling telemetry never changes the deterministic order.
-func (t *Thread) waitTurn() {
-	if tel := t.m.tel; tel != nil {
-		kendo.WaitForTurnObserved(&t.krt, t.ID, tel.waitObs)
-		return
-	}
-	kendo.WaitForTurn(&t.krt, t.ID)
+	tel.waitYieldsByTID[t.ID].Add(t.turnYields)
+	tel.tl.Span(t.ID, "kendo wait", "kendo", t.waitStart, now)
 }

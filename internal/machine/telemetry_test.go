@@ -2,6 +2,7 @@ package machine
 
 import (
 	"bytes"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
@@ -101,6 +102,145 @@ func TestTelemetryKendoWaitAttribution(t *testing.T) {
 	}
 	if reg.Histogram("kendo.queue_depth").Count() == 0 {
 		t.Error("queue_depth histogram never sampled")
+	}
+}
+
+// kendoWorkload is a four-worker program whose workers contend for one
+// mutex and pass a token over an unbuffered channel, so their Kendo turn
+// checks are often refused.
+func kendoWorkload(m *Machine) func(*Thread) {
+	a := m.AllocShared(8, 8)
+	l := m.NewMutex()
+	c := m.NewChan(0)
+	return workers(4, func(w *Thread, i int) {
+		for k := 0; k < 6; k++ {
+			w.Lock(l)
+			w.StoreU64(a, w.LoadU64(a)+1)
+			w.Unlock(l)
+			if i%2 == 0 {
+				w.Send(c)
+			} else {
+				w.Recv(c)
+			}
+			w.Work(i + 1)
+		}
+	})
+}
+
+// spanCount returns the number of timeline spans named name.
+func spanCount(t *testing.T, tl *telemetry.Timeline, name string) int {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := tl.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return strings.Count(buf.String(), `"name":"`+name+`"`)
+}
+
+// TestKendoTurnGrantedAtOnceIsSilent: a lone thread holds the Kendo turn
+// at every synchronization operation, so every turn check is granted at
+// once and no wait is recorded: no wait yields, no kendo.wait_ops, no
+// wait_yields observation and no kendo wait span.
+func TestKendoTurnGrantedAtOnceIsSilent(t *testing.T) {
+	reg, tl := telemetry.NewRegistry(), telemetry.NewTimeline()
+	m := New(Config{DetSync: true, Metrics: reg, Timeline: tl})
+	check := CheckStepHolder(m)
+	l, c := m.NewMutex(), m.NewCond()
+	if err := m.Run(func(th *Thread) {
+		for i := 0; i < 5; i++ {
+			th.Lock(l)
+			th.Signal(c)
+			th.Unlock(l)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	grants, refusals, mismatches := check()
+	if grants != 15 || refusals != 0 || mismatches != 0 {
+		t.Fatalf("%d grants, %d refusals, %d mismatches; want 15 grants only", grants, refusals, mismatches)
+	}
+	if s := m.Stats(); s.DetWaitYields != 0 {
+		t.Errorf("DetWaitYields = %d, want 0", s.DetWaitYields)
+	}
+	if n := reg.Counter("kendo.wait_ops").Value(); n != 0 {
+		t.Errorf("kendo.wait_ops = %d, want 0", n)
+	}
+	if n := reg.Histogram("kendo.wait_yields").Count(); n != 0 {
+		t.Errorf("kendo.wait_yields observed %d waits, want 0", n)
+	}
+	if n := spanCount(t, tl, "kendo wait"); n != 0 {
+		t.Errorf("timeline has %d kendo wait spans, want 0", n)
+	}
+}
+
+// TestKendoRefusedWaitCountsYields: every refused turn check is one yield
+// of the wait in flight, charged when the turn is finally granted: the
+// per-thread wait yields and the wait_yields histogram both sum to the
+// refusals, and each contended wait is one kendo.wait_ops count, one
+// histogram observation and one timeline span.
+func TestKendoRefusedWaitCountsYields(t *testing.T) {
+	reg, tl := telemetry.NewRegistry(), telemetry.NewTimeline()
+	m := New(Config{Seed: 4, DetSync: true, Metrics: reg, Timeline: tl})
+	check := CheckStepHolder(m)
+	if err := m.Run(kendoWorkload(m)); err != nil {
+		t.Fatal(err)
+	}
+	grants, refusals, mismatches := check()
+	if refusals == 0 || mismatches != 0 {
+		t.Fatalf("%d grants, %d refusals, %d mismatches; want refusals and no mismatch", grants, refusals, mismatches)
+	}
+	if s := m.Stats(); s.DetWaitYields < refusals {
+		t.Errorf("DetWaitYields = %d, below the %d refused checks", s.DetWaitYields, refusals)
+	}
+	var perThread uint64
+	for _, name := range reg.CounterNames() {
+		if strings.HasPrefix(name, "kendo.wait_yields.t") {
+			perThread += reg.Counter(name).Value()
+		}
+	}
+	h := reg.Histogram("kendo.wait_yields").Snapshot()
+	if perThread != refusals || h.Sum != float64(refusals) {
+		t.Errorf("per-thread wait yields %d, histogram sum %v; want both %d", perThread, h.Sum, refusals)
+	}
+	waits := reg.Counter("kendo.wait_ops").Value()
+	if spans := spanCount(t, tl, "kendo wait"); waits == 0 || h.Count != waits || uint64(spans) != waits {
+		t.Errorf("kendo.wait_ops %d, histogram count %d, %d spans; want equal and nonzero", waits, h.Count, spans)
+	}
+}
+
+// TestQueueDepthIsParticipantsLessOne: every kendo.queue_depth sample is
+// the number of threads competing for the Kendo turn, less the holder (0
+// when none competes). The Picker runs right after each sample with the
+// machine unchanged, so it recomputes the sample from the threads'
+// states; the one step that reaches no Picker is the last, when every
+// thread has finished and the sample is 0.
+func TestQueueDepthIsParticipantsLessOne(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	var m *Machine
+	var samples uint64
+	var sum, most float64
+	rng := rand.New(rand.NewSource(3))
+	m = New(Config{DetSync: true, Metrics: reg, Picker: func(runnable []*Thread) int {
+		n := 0
+		for tid := range m.threads {
+			if (*kendoRT)(m).Participating(tid) {
+				n++
+			}
+		}
+		depth := float64(max(n-1, 0))
+		samples, sum, most = samples+1, sum+depth, max(most, depth)
+		return rng.Intn(len(runnable))
+	}})
+	if err := m.Run(kendoWorkload(m)); err != nil {
+		t.Fatal(err)
+	}
+	samples++ // the last step's 0
+	got := reg.Histogram("kendo.queue_depth").Snapshot()
+	if got.Count != samples || got.Sum != sum || got.Max != most {
+		t.Errorf("queue depth: %d samples, sum %v, max %v; want %d, %v, %v", got.Count, got.Sum, got.Max, samples, sum, most)
+	}
+	if most < 2 {
+		t.Errorf("queue never deeper than %v; the test needs several waiters", most)
 	}
 }
 

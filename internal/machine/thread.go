@@ -10,14 +10,20 @@ import (
 
 type threadState int
 
+// The states that compete for the Kendo turn (runnable, parked, detwait)
+// are consecutive, so participates is one range check.
 const (
-	stateNew threadState = iota
+	stateNew     threadState = iota
+	stateBlocked             // suspended in a blocking wait (mutex, cond, join, barrier)
 	stateRunnable
-	stateBlocked // suspended in a blocking wait (mutex, cond, join, barrier)
 	stateParked  // stalled at a sync boundary awaiting a rollover reset
-	stateDetWait // waiting for the Kendo turn; woken by the scheduler
+	stateDetWait // waiting for the Kendo turn; woken by the scheduler when it holds it
 	stateFinished
 )
+
+// participates reports whether a thread in state s competes for the Kendo
+// turn: started, not finished, and not suspended in a blocking wait.
+func (s threadState) participates() bool { return s >= stateRunnable && s <= stateDetWait }
 
 // stopToken is the panic value used to unwind thread goroutines when the
 // machine stops (race exception, deadlock, or a sibling thread's panic).
@@ -55,7 +61,14 @@ type Thread struct {
 	fn     func(*Thread)
 	resume chan struct{}
 	state  threadState
-	krt    kendoRT // this thread's view for Kendo turn waits
+
+	// awaitsTurn marks a thread suspended where its next act is the Kendo
+	// turn check; the scheduler makes the check for it (Machine.takeTurn).
+	awaitsTurn bool
+	// turnYields counts the refused checks of the turn wait in flight, and
+	// waitStart is the logical time of the first, for its telemetry.
+	turnYields uint64
+	waitStart  uint64
 
 	joiners []*Thread
 	joined  bool

@@ -108,6 +108,10 @@ func (m *Memory) Store(addr Addr, size int, v uint64) {
 	}
 }
 
+// Bytes returns the n bytes at addr, which must lie inside one allocated
+// region, as a view of the memory that stays valid until the next Alloc.
+func (m *Memory) Bytes(addr Addr, n int) []byte { return m.slice(addr, n) }
+
 // SharedBytes returns the size of the allocated shared region.
 func (m *Memory) SharedBytes() int { return int(m.sharedNext) }
 

@@ -137,16 +137,18 @@ func Open(dir string, opts ...Option) (*FileStore, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	valid, err := replayJournal(f, st)
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	size := fi.Size()
+	valid, err := replayJournal(f, size, st)
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
 	// Drop any torn tail so new frames append after the valid prefix.
-	size := valid
-	if fi, err := f.Stat(); err == nil {
-		size = fi.Size()
-	}
 	if err := f.Truncate(valid); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("store: truncating journal tail: %w", err)
@@ -190,12 +192,12 @@ func discardLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, nil))
 }
 
-// replayJournal applies every intact frame in f onto st and returns the
-// offset just past the last one. A torn or corrupt frame ends the
-// replay (the tail is the crash residue); a record that fails to decode
-// or apply past its CRC is a hard error — that is corruption in the
-// middle of acknowledged data.
-func replayJournal(f *os.File, st *State) (int64, error) {
+// replayJournal applies every intact frame in f, size bytes long, onto
+// st and returns the offset just past the last one. A torn or corrupt
+// frame ends the replay (the tail is the crash residue); a record that
+// fails to decode or apply past its CRC is a hard error — that is
+// corruption in the middle of acknowledged data.
+func replayJournal(f *os.File, size int64, st *State) (int64, error) {
 	var (
 		valid int64
 		hdr   [8]byte
@@ -210,8 +212,10 @@ func replayJournal(f *os.File, st *State) (int64, error) {
 		}
 		n := binary.LittleEndian.Uint32(hdr[0:4])
 		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if n == 0 || n > maxFrame {
-			return valid, nil // garbage length: treat as torn tail
+		if n == 0 || n > maxFrame || valid+8+int64(n) > size {
+			// A garbage length, or a frame running past the end of the
+			// file: a torn tail, whose payload is not worth allocating.
+			return valid, nil
 		}
 		payload := make([]byte, n)
 		if _, err := io.ReadFull(r, payload); err != nil {
