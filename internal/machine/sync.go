@@ -108,8 +108,7 @@ func (t *Thread) syncDone() {
 	t.m.stats.Ops++
 	t.m.stats.SyncOps++
 	t.SFRIndex++
-	if tel := t.m.tel; tel != nil {
-		tel.syncOps.Inc()
+	if t.m.tel != nil {
 		t.endSFR("SFR")
 	}
 }

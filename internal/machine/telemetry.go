@@ -5,28 +5,15 @@ import (
 	"repro/internal/telemetry"
 )
 
-// machineTel bundles the machine's telemetry state: handles pre-resolved
-// at machine construction so the hot path never does a name lookup, the
-// timeline, and per-thread span bookkeeping. A nil *machineTel is the
-// disabled state — instrumented sites guard with one nil check and the
-// whole layer costs nothing.
+// machineTel bundles the machine's telemetry state: the Kendo handles
+// pre-resolved at machine construction so a wait never does a name
+// lookup, the timeline, and per-thread span bookkeeping. Every machine.*
+// counter is published once from Stats when the run ends (see publish).
+// A nil *machineTel is the disabled state — instrumented sites guard with
+// one nil check and the whole layer costs nothing.
 type machineTel struct {
 	reg *telemetry.Registry
 	tl  *telemetry.Timeline
-
-	// Hot-path counters, incremented live on every instrumented access
-	// (the Fig. 7 / Fig. 10 quantities). The remaining machine.* counters
-	// are published once from Stats when the run ends — see publish.
-	sharedReads     *telemetry.Counter
-	sharedWrites    *telemetry.Counter
-	privateAccesses *telemetry.Counter
-	syncOps         *telemetry.Counter
-	raceExceptions  *telemetry.Counter
-
-	// accessCtr indexes the three counters above by [shared][write],
-	// mirroring Machine.accessCtr so the instrumented access path stays
-	// branch-free when metrics are enabled.
-	accessCtr [2][2]*telemetry.Counter
 
 	// Kendo wait attribution (§3.3 / §6.1): one wait_ops count and one
 	// wait_yields observation per contended turn wait, queue depth sampled
@@ -47,23 +34,13 @@ func newMachineTel(cfg Config) *machineTel {
 		return nil
 	}
 	reg := cfg.Metrics
-	tel := &machineTel{
+	return &machineTel{
 		reg:             reg,
 		tl:              cfg.Timeline,
-		sharedReads:     reg.Counter("machine.shared_reads"),
-		sharedWrites:    reg.Counter("machine.shared_writes"),
-		privateAccesses: reg.Counter("machine.private_accesses"),
-		syncOps:         reg.Counter("machine.sync_ops"),
-		raceExceptions:  reg.Counter("machine.race_exceptions"),
 		kendoWaits:      reg.Counter("kendo.wait_ops"),
 		kendoWaitYields: reg.Histogram("kendo.wait_yields", stats.ExpBuckets(1, 2, 12)...),
 		kendoQueueDepth: reg.Histogram("kendo.queue_depth", stats.ExpBuckets(1, 2, 6)...),
 	}
-	tel.accessCtr = [2][2]*telemetry.Counter{
-		{tel.privateAccesses, tel.privateAccesses},
-		{tel.sharedReads, tel.sharedWrites},
-	}
-	return tel
 }
 
 // now is the timeline clock: the machine's global deterministic event
@@ -71,14 +48,21 @@ func newMachineTel(cfg Config) *machineTel {
 func (m *Machine) now() uint64 { return m.stats.Ops }
 
 // publish copies the end-of-run machine counters from Stats into the
-// registry. The hot-path classification counters are maintained live; the
-// rest are scalar totals whose per-event emission would buy nothing.
+// registry: the machine counts every access, sync op and step in Stats
+// alone, and per-event emission would buy nothing. A run raises at most
+// one race exception, the *RaceError it stopped on.
 func (m *Machine) publish() {
 	tel := m.tel
 	if tel == nil || tel.reg == nil {
 		return
 	}
 	reg, s := tel.reg, m.stats
+	reg.Counter("machine.shared_reads").Add(s.SharedReads)
+	reg.Counter("machine.shared_writes").Add(s.SharedWrites)
+	reg.Counter("machine.private_accesses").Add(s.PrivateAccesses)
+	reg.Counter("machine.sync_ops").Add(s.SyncOps)
+	_, raced := m.stopErr.(*RaceError)
+	reg.Counter("machine.race_exceptions").Add(uint64(b2i(raced)))
 	reg.Counter("machine.ops").Add(s.Ops)
 	reg.Counter("machine.steps").Add(s.Steps)
 	reg.Counter("machine.stalled_steps").Add(s.StalledSteps)

@@ -56,17 +56,44 @@ func TestTelemetryCountersMatchStats(t *testing.T) {
 			{"machine.rollovers", s.Rollovers},
 			{"machine.crashes", s.Crashes},
 			{"machine.det_wait_yields", s.DetWaitYields},
+			{"machine.race_exceptions", 0},
 		} {
 			if got := reg.Counter(c.name).Value(); got != c.want {
 				t.Errorf("detsync=%v: %s = %d, want %d (stats)", detSync, c.name, got, c.want)
 			}
 		}
 		snap := reg.Snapshot()
+		if _, ok := snap.Counters["machine.race_exceptions"]; !ok {
+			t.Errorf("detsync=%v: machine.race_exceptions not registered on a clean run", detSync)
+		}
 		perK := snap.Gauges["machine.shared_per_1k_ops"]
 		want := float64(s.SharedAccesses()) / float64(s.Ops) * 1000
 		if perK != want {
 			t.Errorf("detsync=%v: shared_per_1k_ops = %v, want %v", detSync, perK, want)
 		}
+	}
+}
+
+// TestRaceExceptionCountedOnce checks that a run stopped by its detector
+// publishes exactly one race exception, with the accesses up to and
+// including the raising one.
+func TestRaceExceptionCountedOnce(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	m := New(Config{Seed: 4, Detector: &stopDetector{k: 10}, Metrics: reg})
+	a := m.AllocShared(8, 8)
+	err := m.Run(func(th *Thread) {
+		for i := 0; i < 100; i++ {
+			th.StoreU64(a, uint64(i))
+		}
+	})
+	if _, ok := err.(*RaceError); !ok {
+		t.Fatalf("Run = %v, want a *RaceError", err)
+	}
+	if got := reg.Counter("machine.race_exceptions").Value(); got != 1 {
+		t.Errorf("machine.race_exceptions = %d, want 1", got)
+	}
+	if got := reg.Counter("machine.shared_writes").Value(); got != 10 {
+		t.Errorf("machine.shared_writes = %d, want 10", got)
 	}
 }
 
@@ -355,9 +382,9 @@ func TestDisabledTelemetryAllocFree(t *testing.T) {
 	}
 }
 
-// TestEnabledMetricsAllocFree checks the live-handle path: with a registry
-// attached (handles resolved at machine construction), steady-state shared
-// accesses still must not allocate.
+// TestEnabledMetricsAllocFree checks the metrics-on path: with a registry
+// attached, steady-state shared accesses still must not allocate, and the
+// counters published at run end carry them.
 func TestEnabledMetricsAllocFree(t *testing.T) {
 	const iters = 2000
 	reg := telemetry.NewRegistry()
@@ -386,7 +413,7 @@ func TestEnabledMetricsAllocFree(t *testing.T) {
 		t.Errorf("metrics hot path allocated %d times over %d accesses", delta, iters)
 	}
 	if got := reg.Counter("machine.shared_writes").Value(); got == 0 {
-		t.Error("live counter never incremented")
+		t.Error("machine.shared_writes not published")
 	}
 }
 

@@ -246,9 +246,6 @@ func (t *Thread) access(addr uint64, size int, write bool, v uint64) uint64 {
 	shared := memory.IsShared(addr)
 	si, wi := b2i(shared), b2i(write)
 	*m.accessCtr[si][wi]++
-	if tel := m.tel; tel != nil {
-		tel.accessCtr[si][wi].Inc()
-	}
 	if shared {
 		if size < len(m.stats.AccessBySize) {
 			m.stats.AccessBySize[size]++
@@ -292,7 +289,6 @@ func (t *Thread) check(addr uint64, size int, write bool) {
 	}
 	if err := d.OnAccess(t, addr, size, write); err != nil {
 		if tel := t.m.tel; tel != nil {
-			tel.raceExceptions.Inc()
 			tel.tl.Instant(t.ID, "race exception", "race", t.m.now())
 		}
 		t.m.stop(err)

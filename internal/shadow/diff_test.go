@@ -1,12 +1,12 @@
 package shadow
 
 // Differential testing of the adaptive region against a naive per-byte
-// reference map: every operation sequence must produce identical epochs
-// AND identical per-byte-equivalent `loads` counts, in both
-// synchronization modes. The loads half is the honesty guarantee
-// core.Stats.EpochLoads (and the golden run reports pinned on it) build
-// on: the compact/expanded state a line happens to be in must never show
-// through the API.
+// reference map: every operation sequence — stores, range stores, current
+// and stale CASes, range CASes, resets, page crossings — must produce
+// identical epochs AND identical per-byte-equivalent `loads` counts after
+// every op. The loads half is the honesty guarantee core.Stats.EpochLoads
+// (and the golden run reports pinned on it) build on: the compact/expanded
+// state a line happens to be in must never show through the API.
 
 import (
 	"encoding/binary"
@@ -75,10 +75,9 @@ func (r *refRegion) reset() { clear(r.m) }
 
 // diffState drives one adaptive region and the reference in lockstep.
 type diffState struct {
-	t    *testing.T
-	mode string
-	r    *Region
-	ref  *refRegion
+	t   *testing.T
+	r   *Region
+	ref *refRegion
 }
 
 func (s *diffState) compareAt(a uint64, n int) {
@@ -86,11 +85,10 @@ func (s *diffState) compareAt(a uint64, n int) {
 	ge, geq, gl := s.r.LoadAllEqual(a, n)
 	we, weq, wl := s.ref.loadAllEqual(a, n)
 	if uint32(ge) != we || geq != weq || gl != wl {
-		s.t.Fatalf("%s: LoadAllEqual(%d,%d) = (%v,%v,%d), reference (%v,%v,%d)",
-			s.mode, a, n, ge, geq, gl, we, weq, wl)
+		s.t.Fatalf("LoadAllEqual(%d,%d) = (%v,%v,%d), reference (%v,%v,%d)", a, n, ge, geq, gl, we, weq, wl)
 	}
 	if got := uint32(s.r.Load(a)); got != s.ref.load(a) {
-		s.t.Fatalf("%s: Load(%d) = %v, reference %v", s.mode, a, got, s.ref.load(a))
+		s.t.Fatalf("Load(%d) = %v, reference %v", a, got, s.ref.load(a))
 	}
 }
 
@@ -118,20 +116,20 @@ func (s *diffState) step(op [6]byte) {
 	case 2: // CAS with the true current value: must succeed identically
 		old := s.ref.load(addr)
 		if s.r.CompareAndSwap(addr, vclock.Epoch(old), vclock.Epoch(e)) != s.ref.cas(addr, old, e) {
-			s.t.Fatalf("%s: CAS(%d) outcome diverged", s.mode, addr)
+			s.t.Fatalf("CAS(%d) outcome diverged", addr)
 		}
 	case 3: // CAS with a likely-stale value: failure paths must agree too
 		if s.r.CompareAndSwap(addr, vclock.Epoch(e), vclock.Epoch(e^1)) != s.ref.cas(addr, e, e^1) {
-			s.t.Fatalf("%s: stale CAS(%d) outcome diverged", s.mode, addr)
+			s.t.Fatalf("stale CAS(%d) outcome diverged", addr)
 		}
 	case 4:
 		old := s.ref.load(addr)
 		if s.r.CompareAndSwapRange(addr, n, vclock.Epoch(old), vclock.Epoch(e)) != s.ref.casRange(addr, n, old, e) {
-			s.t.Fatalf("%s: CASRange(%d,%d) outcome diverged", s.mode, addr, n)
+			s.t.Fatalf("CASRange(%d,%d) outcome diverged", addr, n)
 		}
 	case 5:
 		if s.r.CompareAndSwapRange(addr, n, vclock.Epoch(e), vclock.Epoch(e^1)) != s.ref.casRange(addr, n, e, e^1) {
-			s.t.Fatalf("%s: stale CASRange(%d,%d) outcome diverged", s.mode, addr, n)
+			s.t.Fatalf("stale CASRange(%d,%d) outcome diverged", addr, n)
 		}
 	case 6: // rare full reset
 		if op[1]%16 == 0 {
@@ -150,7 +148,7 @@ func (s *diffState) sweep() {
 	s.t.Helper()
 	for a := uint64(0); a < diffSpan; a++ {
 		if got := uint32(s.r.Load(a)); got != s.ref.load(a) {
-			s.t.Fatalf("%s: final sweep: Load(%d) = %v, reference %v", s.mode, a, got, s.ref.load(a))
+			s.t.Fatalf("final sweep: Load(%d) = %v, reference %v", a, got, s.ref.load(a))
 		}
 	}
 	for a := uint64(0); a+64 <= diffSpan; a += 64 {
@@ -158,8 +156,8 @@ func (s *diffState) sweep() {
 	}
 }
 
-func runDiff(t *testing.T, mode string, mk func() *Region, ops [][6]byte) {
-	s := &diffState{t: t, mode: mode, r: mk(), ref: newRef()}
+func runDiff(t *testing.T, ops [][6]byte) {
+	s := &diffState{t: t, r: New(), ref: newRef()}
 	for _, op := range ops {
 		s.step(op)
 	}
@@ -168,23 +166,21 @@ func runDiff(t *testing.T, mode string, mk func() *Region, ops [][6]byte) {
 }
 
 // TestDifferentialRandom drives tens of thousands of seeded random ops
-// through both region modes against the reference.
+// through a region against the reference.
 func TestDifferentialRandom(t *testing.T) {
-	for mode, mk := range regions() {
-		rng := rand.New(rand.NewSource(1))
-		nops := 20000
-		if testing.Short() {
-			nops = 2000
-		}
-		ops := make([][6]byte, nops)
-		for i := range ops {
-			var op [6]byte
-			binary.LittleEndian.PutUint32(op[0:4], rng.Uint32())
-			binary.LittleEndian.PutUint16(op[4:6], uint16(rng.Uint32()))
-			ops[i] = op
-		}
-		runDiff(t, mode, mk, ops)
+	rng := rand.New(rand.NewSource(1))
+	nops := 20000
+	if testing.Short() {
+		nops = 2000
 	}
+	ops := make([][6]byte, nops)
+	for i := range ops {
+		var op [6]byte
+		binary.LittleEndian.PutUint32(op[0:4], rng.Uint32())
+		binary.LittleEndian.PutUint16(op[4:6], uint16(rng.Uint32()))
+		ops[i] = op
+	}
+	runDiff(t, ops)
 }
 
 // FuzzDifferential lets the fuzzer hunt for op sequences where the
@@ -209,8 +205,6 @@ func FuzzDifferential(f *testing.F) {
 			ops = append(ops, op)
 			data = data[6:]
 		}
-		for mode, mk := range regions() {
-			runDiff(t, mode, mk, ops)
-		}
+		runDiff(t, ops)
 	})
 }

@@ -32,7 +32,7 @@ var pagePool struct {
 	pages []*page
 }
 
-// Live footprint across all unreleased regions (adaptive and concurrent).
+// Live footprint across all unreleased regions.
 var (
 	gMappedPages   atomic.Int64
 	gExpandedLines atomic.Int64

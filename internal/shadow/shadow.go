@@ -34,19 +34,13 @@
 // direct-mapped shadow plays with its application/shadow offset — makes
 // the common same-page access skip the page table entirely.
 //
-// Two synchronization modes exist:
-//
-//   - New returns an unsynchronized region. The cooperative machine
-//     dispatches one thread at a time, so every detector check is already
-//     serialized and the region can use plain loads and stores — this is
-//     the §4.2 fast lane, and the mode every detector uses. Only this
-//     mode uses compact lines and the page pool.
-//   - NewConcurrent returns a region whose single-epoch operations are
-//     atomic (sync/atomic on the backing words) and whose page table is
-//     lock-protected, so the compare-and-swap update of §4.3 keeps its
-//     meaning when the region is driven from truly concurrent goroutines,
-//     as the stress tests do. Concurrent pages materialize fully expanded
-//     (atomics need a stable per-byte cell) and are not pooled.
+// A region is not synchronized. The cooperative machine dispatches one
+// thread at a time, so every detector check is already serialized, and the
+// region uses plain loads and stores: the compare-and-swap of §4.3 is
+// atomic because nothing else runs while it does. Separate regions may be
+// used from different goroutines at once (the service's and the parallel
+// harness's concurrent jobs do); they share only the page pool and the
+// global gauges of pool.go, which are synchronized.
 //
 // Every multi-byte operation reports per-byte-equivalent epoch-load
 // counts: a compact line validated by one compare still counts as having
@@ -56,8 +50,6 @@
 package shadow
 
 import (
-	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/vclock"
@@ -91,28 +83,18 @@ const LinesPerPage = PageBytes / LineBytes
 const wordsPerLine = LineBytes / 2
 
 // Region is the epoch shadow for a simulated address space. The zero value
-// is not ready for use; call New or NewConcurrent.
+// is not ready for use; call New.
 type Region struct {
-	// concurrent selects atomic epoch operations and a locked page table;
-	// unset, the region relies on the machine's serialization of checks.
-	concurrent bool
-
-	// lastIdx/lastPage cache the most recently resolved page (unsynchronized
-	// mode only): the common same-page access skips the map entirely.
+	// lastIdx/lastPage cache the most recently resolved page: the common
+	// same-page access skips the map entirely.
 	lastIdx  uint64
 	lastPage *page
 
 	pages map[uint64]*page
-	mu    sync.RWMutex // guards pages in concurrent mode
 
 	// expandedLines counts lines currently in expanded (per-byte) form
-	// across all of the region's pages. Unsynchronized mode only; a
-	// concurrent region's pages are always fully expanded.
+	// across all of the region's pages.
 	expandedLines int
-
-	// resets counts completed Reset calls, reported by the Table 1
-	// experiment as the number of rollover resets.
-	resets atomic.Uint64
 }
 
 // pageEpochs is the expanded per-byte epoch store of one page. The backing
@@ -141,40 +123,28 @@ type page struct {
 // pattern doubles a 32-bit epoch into the packed-word compare pattern.
 func pattern(e uint32) uint64 { return uint64(e)<<32 | uint64(e) }
 
-// New returns an empty unsynchronized shadow region: the fast lane for
-// detectors driven from the cooperative machine, which serializes all
-// checks. Use NewConcurrent when the region is shared between goroutines.
+// New returns an empty shadow region. It must be used from one goroutine
+// at a time; the cooperative machine, which serializes all checks, does.
 func New() *Region {
 	return &Region{pages: make(map[uint64]*page)}
-}
-
-// NewConcurrent returns an empty shadow region safe for concurrent use:
-// single-epoch operations are atomic and the page table is lock-protected.
-func NewConcurrent() *Region {
-	return &Region{concurrent: true, pages: make(map[uint64]*page)}
 }
 
 // Load returns the epoch of the data byte at addr. Untouched bytes read as
 // the zero epoch, which happens-before everything.
 func (r *Region) Load(addr uint64) vclock.Epoch {
-	if !r.concurrent {
-		if p := r.lastPage; p != nil && r.lastIdx == addr>>PageShift {
-			off := addr & pageMask
-			line := off >> LineShift
-			if p.expanded&(1<<line) == 0 {
-				return vclock.Epoch(p.lineEpoch[line])
-			}
-			return vclock.Epoch(p.bytes.epochs()[off])
+	if p := r.lastPage; p != nil && r.lastIdx == addr>>PageShift {
+		off := addr & pageMask
+		line := off >> LineShift
+		if p.expanded&(1<<line) == 0 {
+			return vclock.Epoch(p.lineEpoch[line])
 		}
+		return vclock.Epoch(p.bytes.epochs()[off])
 	}
 	p := r.lookup(addr >> PageShift)
 	if p == nil {
 		return 0
 	}
 	off := addr & pageMask
-	if r.concurrent {
-		return vclock.Epoch(atomic.LoadUint32(&p.bytes.epochs()[off]))
-	}
 	line := off >> LineShift
 	if p.expanded&(1<<line) == 0 {
 		return vclock.Epoch(p.lineEpoch[line])
@@ -189,10 +159,6 @@ func (r *Region) Load(addr uint64) vclock.Epoch {
 func (r *Region) Store(addr uint64, e vclock.Epoch) {
 	p := r.ensure(addr >> PageShift)
 	off := addr & pageMask
-	if r.concurrent {
-		atomic.StoreUint32(&p.bytes.epochs()[off], uint32(e))
-		return
-	}
 	line := off >> LineShift
 	if p.expanded&(1<<line) == 0 {
 		if p.lineEpoch[line] == uint32(e) {
@@ -206,15 +172,12 @@ func (r *Region) Store(addr uint64, e vclock.Epoch) {
 // CompareAndSwap replaces the epoch at addr with new if it still equals
 // old, reporting whether the swap happened. A failed swap on a write check
 // is exactly how a concurrent WAW race manifests in software CLEAN (§4.3).
-// In unsynchronized mode the machine's serialization of checks supplies
-// the atomicity; in concurrent mode it is a hardware CAS. A successful
-// swap on a compact line expands it only when the value actually changes.
+// The machine's serialization of checks supplies the atomicity. A
+// successful swap on a compact line expands it only when the value
+// actually changes.
 func (r *Region) CompareAndSwap(addr uint64, old, new vclock.Epoch) bool {
 	p := r.ensure(addr >> PageShift)
 	off := addr & pageMask
-	if r.concurrent {
-		return atomic.CompareAndSwapUint32(&p.bytes.epochs()[off], uint32(old), uint32(new))
-	}
 	line := off >> LineShift
 	if p.expanded&(1<<line) == 0 {
 		if p.lineEpoch[line] != uint32(old) {
@@ -251,16 +214,6 @@ func (r *Region) CompareAndSwap(addr uint64, old, new vclock.Epoch) bool {
 func (r *Region) LoadAllEqual(addr uint64, n int) (e vclock.Epoch, allEqual bool, loads int) {
 	if n <= 0 {
 		return 0, true, 0
-	}
-	if r.concurrent {
-		// Concurrent mode: per-byte atomic loads.
-		e = r.Load(addr)
-		for i := 1; i < n; i++ {
-			if r.Load(addr+uint64(i)) != e {
-				return e, false, i + 1
-			}
-		}
-		return e, true, n
 	}
 	idx := addr >> PageShift
 	off := int(addr & pageMask)
@@ -307,7 +260,7 @@ func (r *Region) LoadAllEqual(addr uint64, n int) (e vclock.Epoch, allEqual bool
 	}
 }
 
-// epochAt reads one epoch out of an adaptive page (unsynchronized mode).
+// epochAt reads one epoch out of an adaptive page.
 func epochAt(p *page, off int) uint32 {
 	line := off >> LineShift
 	if p.expanded&(1<<line) == 0 {
@@ -373,19 +326,11 @@ func scanExpanded(pe *pageEpochs, off, n int, want uint32) int {
 // starting at addr are swapped from old to new as one operation. The
 // hardware analogue is a 128-bit CAS covering four epochs; in software the
 // leading epoch is checked and the rest stored, which is atomic here
-// because the machine serializes race checks (callers needing true
-// concurrent atomicity per epoch use CompareAndSwap). It reports false — a
-// WAW race, §4.3 — when the leading epoch no longer holds old. Fully
-// covered lines collapse back to compact form as they are written.
+// because the machine serializes race checks. It reports false — a WAW
+// race, §4.3 — when the leading epoch no longer holds old. Fully covered
+// lines collapse back to compact form as they are written.
 func (r *Region) CompareAndSwapRange(addr uint64, n int, old, new vclock.Epoch) bool {
 	if n <= 0 {
-		return true
-	}
-	if r.concurrent {
-		if !r.CompareAndSwap(addr, old, new) {
-			return false
-		}
-		r.StoreRange(addr+1, n-1, new)
 		return true
 	}
 	p := r.ensure(addr >> PageShift)
@@ -447,21 +392,14 @@ func (r *Region) StoreRange(addr uint64, n int, e vclock.Epoch) {
 		if run > n {
 			run = n
 		}
-		if r.concurrent {
-			ep := p.bytes.epochs()
-			for i := 0; i < run; i++ {
-				atomic.StoreUint32(&ep[off+i], uint32(e))
-			}
-		} else {
-			r.storeInPage(p, off, run, uint32(e))
-		}
+		r.storeInPage(p, off, run, uint32(e))
 		addr += uint64(run)
 		n -= run
 	}
 }
 
 // storeInPage writes epoch e over [off, off+n) of page p, maintaining the
-// compact/expanded invariant line by line (unsynchronized mode).
+// compact/expanded invariant line by line.
 func (r *Region) storeInPage(p *page, off, n int, e uint32) {
 	i, end := off, off+n
 	for i < end {
@@ -568,28 +506,14 @@ func (r *Region) maybeRecompact(p *page, l uint, e uint32) {
 // proportional to the number of mapped pages, not to the data size, and —
 // like the remap — the pages themselves are recycled through the free
 // list, so the rollover epoch starts compact and allocation-free.
-func (r *Region) Reset() {
-	r.release()
-	r.resets.Add(1)
-}
+func (r *Region) Reset() { r.Release() }
 
-// Release returns the region's shadow pages to the process-wide pool
-// without counting a rollover reset. Call it exactly once when a run is
-// finished with its detector (the facade, harness, and service job paths
-// all do); using the region afterwards is safe — it simply re-materializes
-// pages — but releasing a region whose machine is still running is not.
-func (r *Region) Release() { r.release() }
-
-func (r *Region) release() {
-	if r.concurrent {
-		r.mu.Lock()
-		n := len(r.pages)
-		r.pages = make(map[uint64]*page)
-		r.mu.Unlock()
-		gMappedPages.Add(-int64(n))
-		gExpandedLines.Add(-int64(n * LinesPerPage))
-		return
-	}
+// Release returns the region's shadow pages to the process-wide pool.
+// Call it exactly once when a run is finished with its detector (the
+// facade, harness, and service job paths all do); using the region
+// afterwards is safe — it simply re-materializes pages — but releasing a
+// region whose machine is still running is not.
+func (r *Region) Release() {
 	r.lastPage = nil
 	gMappedPages.Add(-int64(len(r.pages)))
 	gExpandedLines.Add(-int64(r.expandedLines))
@@ -600,19 +524,10 @@ func (r *Region) release() {
 	clear(r.pages) // keeps the map's buckets for the next epoch era
 }
 
-// Resets returns the number of Reset calls performed.
-func (r *Region) Resets() uint64 { return r.resets.Load() }
-
 // MappedPages returns the number of shadow pages currently backed by
 // storage. The paper's memory-footprint claim (§4.6) is that this grows
 // with accessed shared data, not with the address-space size.
-func (r *Region) MappedPages() int {
-	if r.concurrent {
-		r.mu.RLock()
-		defer r.mu.RUnlock()
-	}
-	return len(r.pages)
-}
+func (r *Region) MappedPages() int { return len(r.pages) }
 
 // Footprint describes a region's current metadata footprint in the
 // adaptive representation.
@@ -627,17 +542,6 @@ type Footprint struct {
 // every line of every mapped page that is not expanded, matching the
 // paper's view that a mapped-but-uniform line costs one entry.
 func (r *Region) Footprint() Footprint {
-	if r.concurrent {
-		r.mu.RLock()
-		pages := len(r.pages)
-		r.mu.RUnlock()
-		exp := pages * LinesPerPage
-		return Footprint{
-			MappedPages:   pages,
-			LinesExpanded: exp,
-			MetadataBytes: metadataBytes(pages, exp),
-		}
-	}
 	pages := len(r.pages)
 	return Footprint{
 		MappedPages:   pages,
@@ -661,15 +565,9 @@ func metadataBytes(pages, expandedLines int) int {
 // MetadataBytes returns the current logical metadata footprint in bytes.
 func (r *Region) MetadataBytes() int { return r.Footprint().MetadataBytes }
 
-// lookup resolves a page index to its page, or nil when unmapped. In
-// unsynchronized mode a hit refreshes the last-page cache.
+// lookup resolves a page index to its page, or nil when unmapped. A hit
+// refreshes the last-page cache.
 func (r *Region) lookup(idx uint64) *page {
-	if r.concurrent {
-		r.mu.RLock()
-		p := r.pages[idx]
-		r.mu.RUnlock()
-		return p
-	}
 	if p := r.lastPage; p != nil && r.lastIdx == idx {
 		return p
 	}
@@ -681,37 +579,17 @@ func (r *Region) lookup(idx uint64) *page {
 }
 
 // ensure resolves a page index, materializing the page on first touch.
-// Unsynchronized pages come from the free list and start all-compact with
-// zero epochs; concurrent pages are always fully expanded (atomic
-// operations need stable per-byte cells) and bypass the pool.
+// Pages come from the free list and start all-compact with zero epochs.
 func (r *Region) ensure(idx uint64) *page {
-	if !r.concurrent {
-		if p := r.lastPage; p != nil && r.lastIdx == idx {
-			return p
-		}
-		p := r.pages[idx]
-		if p == nil {
-			p = getPage()
-			r.pages[idx] = p
-			gMappedPages.Add(1)
-		}
-		r.lastIdx, r.lastPage = idx, p
+	if p := r.lastPage; p != nil && r.lastIdx == idx {
 		return p
 	}
-	r.mu.RLock()
 	p := r.pages[idx]
-	r.mu.RUnlock()
-	if p != nil {
-		return p
+	if p == nil {
+		p = getPage()
+		r.pages[idx] = p
+		gMappedPages.Add(1)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if p := r.pages[idx]; p != nil {
-		return p
-	}
-	p = &page{bytes: new(pageEpochs), expanded: ^uint64(0)}
-	r.pages[idx] = p
-	gMappedPages.Add(1)
-	gExpandedLines.Add(LinesPerPage)
+	r.lastIdx, r.lastPage = idx, p
 	return p
 }
