@@ -114,6 +114,48 @@ func TestNarrowClockRollsOver(t *testing.T) {
 	}
 }
 
+// TestWideClockLayoutSeesHighThreadIDs: under the 32-bit wide-clock
+// layout (28 clock bits, 4 tid bits) bit 31 of an epoch is the top bit of
+// the thread id. Ten threads run; thread 9 stores x, then sets a flag in
+// private memory, which the main thread spins on before it loads x, so the
+// load always follows the store with no synchronization between them. The
+// RAW race on x, with thread 9 as the earlier writer, must be raised
+// exactly as under the default layout on every seed.
+func TestWideClockLayoutSeesHighThreadIDs(t *testing.T) {
+	run := func(seed int64, opts ...Option) error {
+		m, err := New(append(opts, WithDetection(DetectCLEAN), WithSeed(seed))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := m.AllocShared(8, 8)
+		flag := m.AllocPrivate(8, 8)
+		return m.Run(func(th *Thread) {
+			for i := 1; i <= 9; i++ {
+				th.Spawn(func(c *Thread) {
+					if c.ID == 9 {
+						c.StoreU64(x, 1)
+						c.StoreU64(flag, 1)
+					}
+				})
+			}
+			for th.LoadU64(flag) == 0 {
+			}
+			th.LoadU64(x)
+		})
+	}
+	for seed := int64(0); seed < 50; seed++ {
+		want, got := run(seed), run(seed, WithEpochLayout(28, 4))
+		var wr, gr *RaceError
+		if !errors.As(want, &wr) || wr.Kind != RAW || wr.PrevTID != 9 {
+			t.Fatalf("seed %d: default layout: Run = %v, want a RAW race on thread 9's store", seed, want)
+		}
+		if OutcomeOf(got) != OutcomeOf(want) || !errors.As(got, &gr) ||
+			gr.Kind != wr.Kind || gr.Addr != wr.Addr || gr.PrevTID != wr.PrevTID {
+			t.Fatalf("seed %d: wide-clock layout: Run = %v, want %v", seed, got, want)
+		}
+	}
+}
+
 // TestRunRejectsInvalidConfig: RunWorkload and RunProgram return the
 // configuration's Validate error rather than running without a detector.
 func TestRunRejectsInvalidConfig(t *testing.T) {

@@ -67,9 +67,11 @@ func (l Layout) Pack(tid int, clock uint32) Epoch {
 	return Epoch(uint32(tid)<<l.ClockBits | clock&l.MaxClock())
 }
 
-// TID extracts the thread-id component of e.
+// TID extracts the thread-id component of e. The mask alone keeps the
+// expand flag out: in a 32-bit layout such as WideClockLayout, bit 31 is
+// the top bit of the thread id, not a flag.
 func (l Layout) TID(e Epoch) int {
-	return int(uint32(e&^expandBit) >> l.ClockBits & uint32(l.MaxTID()))
+	return int(uint32(e) >> l.ClockBits & uint32(l.MaxTID()))
 }
 
 // Clock extracts the scalar-clock component of e.

@@ -43,15 +43,19 @@ func TestLayoutLimits(t *testing.T) {
 	}
 }
 
+// TestEpochPackUnpackRoundTrip covers layouts with and without the expand
+// bit: in the 32-bit ones the top thread-id bit is bit 31.
 func TestEpochPackUnpackRoundTrip(t *testing.T) {
-	l := DefaultLayout
-	f := func(tid uint8, clock uint32) bool {
-		clock &= l.MaxClock()
-		e := l.Pack(int(tid), clock)
-		return l.TID(e) == int(tid) && l.Clock(e) == clock && !l.Expanded(e)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+	for _, l := range []Layout{DefaultLayout, WideClockLayout, {TIDBits: 8, ClockBits: 10}, {TIDBits: 1, ClockBits: 31}} {
+		f := func(tid uint8, clock uint32) bool {
+			id := int(tid) & l.MaxTID()
+			clock &= l.MaxClock()
+			e := l.Pack(id, clock)
+			return l.TID(e) == id && l.Clock(e) == clock && !l.Expanded(e)
+		}
+		if err := quick.Check(f, nil); err != nil {
+			t.Errorf("layout %+v: %v", l, err)
+		}
 	}
 }
 
