@@ -761,6 +761,7 @@ func (s *Server) collectSnapshot() telemetry.Snapshot {
 
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
+	dropped := s.tline.droppedEvents()
 
 	s.metricsMu.Lock()
 	s.metrics.Gauge("service.queue_depth").Set(float64(depth))
@@ -769,6 +770,7 @@ func (s *Server) collectSnapshot() telemetry.Snapshot {
 	s.metrics.Gauge("service.sessions_active").Set(float64(sessions))
 	s.metrics.Gauge("service.workers").Set(float64(s.cfg.Workers))
 	s.metrics.Gauge("service.worker_busy_seconds").Set(s.busySeconds)
+	s.metrics.Gauge("service.trace_dropped_events").Set(float64(dropped))
 	s.metrics.Gauge("process.uptime_seconds").Set(time.Since(s.started).Seconds())
 	s.metrics.Gauge("process.goroutines").Set(float64(runtime.NumGoroutine()))
 	s.metrics.Gauge("process.heap_alloc_bytes").Set(float64(ms.HeapAlloc))

@@ -83,7 +83,8 @@ func tidWorker(i int) int { return 2 + i }
 
 // maxTimelineEvents bounds the server-wide timeline so a long-lived
 // server cannot grow it without bound; past the cap new events are
-// counted as dropped instead of recorded.
+// counted as dropped instead of recorded, and /metrics reports the count
+// as service.trace_dropped_events.
 const maxTimelineEvents = 50_000
 
 // serverTimeline wraps the (single-threaded) telemetry.Timeline with a
@@ -132,6 +133,13 @@ func (t *serverTimeline) instant(tid int, name, cat string, at time.Time) {
 		return
 	}
 	t.tl.Instant(tid, name, cat, t.us(at))
+}
+
+// droppedEvents returns the number of events the cap has refused.
+func (t *serverTimeline) droppedEvents() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.dropped
 }
 
 func (t *serverTimeline) writeTo(w io.Writer) (int64, error) {
