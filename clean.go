@@ -54,6 +54,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fasttrack"
 	"repro/internal/machine"
+	"repro/internal/predict"
 	"repro/internal/prog"
 	"repro/internal/shadow"
 	"repro/internal/telemetry"
@@ -172,9 +173,9 @@ const (
 	// correct reorderings would exhibit, each certified by replaying its
 	// witness schedule through the CLEAN detector. As a machine-attached
 	// detector it behaves like DetectCLEAN (certification replays run
-	// CLEAN); the prediction pipeline itself drives recording and replay
-	// through the entry points that accept it (cleanvet -dynamic,
-	// cleanrun -det predict, predict service jobs, internal/predict).
+	// CLEAN); RunWorkload and RunProgram run the prediction pipeline
+	// itself (Report.Prediction), which is how cleanrun -det predict and
+	// predict service jobs reach it.
 	DetectPredict
 
 	// numDetections is the sentinel one past the last valid mode. Every
@@ -369,43 +370,44 @@ type Report struct {
 	// Telemetry is the schema-versioned run report, filled when
 	// Config.Metrics was set; api/v1's Encode renders it as JSON.
 	Telemetry *RunReport
+	// Prediction is the prediction pipeline's result for a DetectPredict
+	// run without a schedule. Err is then how the recording ended, and
+	// the other fields but Elapsed stay zero.
+	Prediction *predict.Result
 }
 
 // RunWorkload builds and runs one benchmark stand-in. scale is "test",
 // "simsmall", "simlarge" or "native"; modified selects the race-free
-// variant (§6.1). An invalid cfg is an error, as from NewConfig.
+// variant (§6.1). DetectPredict runs the prediction pipeline instead
+// (Report.Prediction). An invalid cfg is an error, as from NewConfig.
 func RunWorkload(name, scale string, modified bool, cfg Config) (*Report, error) {
-	id, build, err := workloadTarget(name, scale, modified)
+	id, target, err := workloadTarget(name, scale, modified)
 	if err != nil {
 		return nil, err
 	}
-	return run(cfg, cfg.detector(), nil, id, build)
+	if cfg.Detection == DetectPredict {
+		return runPredict(cfg, target)
+	}
+	return run(cfg, cfg.detector(), nil, id, target)
 }
 
-// builder sets a program up on a fresh machine, returning its root
-// function and the output region run fingerprints.
-type builder func(m *Machine) (root func(*Thread), out uint64, n int)
-
 // workloadTarget resolves a benchmark stand-in into the report identity
-// and builder run takes.
-func workloadTarget(name, scale string, modified bool) (RunReport, builder, error) {
+// and the target run builds.
+func workloadTarget(name, scale string, modified bool) (RunReport, predict.Target, error) {
 	w, ok := workloads.ByName(name)
 	if !ok {
-		return RunReport{}, nil, &UnknownWorkloadError{Name: name}
+		return RunReport{}, predict.Target{}, &UnknownWorkloadError{Name: name}
 	}
 	sc, err := workloads.ParseScale(scale)
 	if err != nil {
-		return RunReport{}, nil, err
+		return RunReport{}, predict.Target{}, err
 	}
 	variant := workloads.Unmodified
 	if modified {
 		variant = workloads.Modified
 	}
 	id := RunReport{Workload: name, Scale: sc.String(), Variant: variant.String()}
-	return id, func(m *Machine) (func(*Thread), uint64, int) {
-		root, out := w.Build(m, sc, variant)
-		return root, out.Addr, out.Len
-	}, nil
+	return id, predict.WorkloadTarget(w, sc, variant), nil
 }
 
 // RunProgram builds and runs one program in the internal/prog IR — the
@@ -414,20 +416,36 @@ func workloadTarget(name, scale string, modified bool) (RunReport, builder, erro
 // runs those workers in order (prog.SequentialPicker, the static
 // analyzer's witness schedule) instead of the seeded scheduler; the
 // interleaving is then fixed, so Seed, DeterministicSync and YieldEvery
-// are ignored. An invalid program or cfg is an error.
+// are ignored. DetectPredict without a schedule runs the prediction
+// pipeline instead (Report.Prediction); a scheduled replay runs under
+// CLEAN, which certifies predictions. An invalid program or cfg is an
+// error.
 func RunProgram(p *prog.Program, cfg Config, schedule ...int) (*Report, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
+	}
+	if len(schedule) == 0 && cfg.Detection == DetectPredict {
+		return runPredict(cfg, predict.ProgramTarget(p))
 	}
 	var pick func([]*Thread) int
 	if len(schedule) > 0 {
 		pick = prog.SequentialPicker(schedule...)
 		cfg.Seed, cfg.DeterministicSync, cfg.YieldEvery = 0, false, 0
 	}
-	return run(cfg, cfg.detector(), pick, RunReport{Workload: "prog"}, func(m *Machine) (func(*Thread), uint64, int) {
-		root, base := p.Build(m)
-		return root, base, p.Region
-	})
+	return run(cfg, cfg.detector(), pick, RunReport{Workload: "prog"}, predict.ProgramTarget(p))
+}
+
+// runPredict is the DetectPredict body behind RunWorkload and RunProgram:
+// record one run of target under cfg's Seed and MaxSteps — the only
+// fields it takes from cfg — then certify the races its sync-preserving
+// reorderings exhibit (internal/predict).
+func runPredict(cfg Config, target predict.Target) (*Report, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	res := predict.Run(target, predict.Options{Seed: cfg.Seed, MaxSteps: cfg.MaxSteps})
+	return &Report{Err: res.Recording.Err, Elapsed: time.Since(start), Prediction: res}, nil
 }
 
 // run is the one body behind RunWorkload, RunProgram and
@@ -435,7 +453,7 @@ func RunProgram(p *prog.Program, cfg Config, schedule ...int) (*Report, error) {
 // by pick when non-nil), run it, read its counters, output fingerprint
 // and detector footprint, publish the CLEAN detector's stats and, with
 // Config.Metrics set, file the telemetry report under id's names.
-func run(cfg Config, det Detector, pick func([]*Thread) int, id RunReport, build builder) (*Report, error) {
+func run(cfg Config, det Detector, pick func([]*Thread) int, id RunReport, target predict.Target) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -447,7 +465,7 @@ func run(cfg Config, det Detector, pick func([]*Thread) int, id RunReport, build
 	// from the pool instead of the garbage collector. Deferred, so a
 	// panicking run cannot leak the footprint gauges either.
 	defer m.ReleaseMetadata()
-	root, out, n := build(m)
+	root, out, n := target.Build(m)
 	start := time.Now()
 	runErr := m.Run(root)
 	rep := &Report{

@@ -2,9 +2,11 @@ package clean
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/predict"
 	"repro/internal/prog"
 )
 
@@ -174,6 +176,40 @@ func TestRunRejectsInvalidConfig(t *testing.T) {
 		if _, err := RunProgram(p, cfg); err == nil || err.Error() != want.Error() {
 			t.Errorf("RunProgram(%+v) err = %v, want %v", cfg, err, want)
 		}
+	}
+}
+
+// TestPredictRunsThroughRunPath: under DetectPredict, RunProgram and
+// RunWorkload run the prediction pipeline on cfg's Seed and MaxSteps and
+// return exactly what predict.Run returns, while a scheduled replay still
+// runs once under CLEAN.
+func TestPredictRunsThroughRunPath(t *testing.T) {
+	p := prog.LitmusByName("waw").P
+	for seed := int64(0); seed < 3; seed++ {
+		cfg := Config{Detection: DetectPredict, Seed: seed, MaxSteps: 1000}
+		rep, err := RunProgram(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := predict.Run(predict.ProgramTarget(p), predict.Options{Seed: seed, MaxSteps: 1000})
+		if rep.Prediction == nil || rep.Err != want.Recording.Err || !reflect.DeepEqual(rep.Prediction.V1(nil), want.V1(nil)) {
+			t.Errorf("seed %d: RunProgram predicted %+v (err %v), predict.Run %+v", seed, rep.Prediction, rep.Err, want)
+		}
+		if rep.Prediction != nil && len(rep.Prediction.Predictions) == 0 {
+			t.Errorf("seed %d: waw predicted no race", seed)
+		}
+	}
+
+	cfg := Config{Detection: DetectPredict, Seed: 1}
+	rep, err := RunProgram(p, cfg, 0, 1)
+	var re *RaceError
+	if err != nil || rep.Prediction != nil || !errors.As(rep.Err, &re) || re.Kind != WAW {
+		t.Errorf("scheduled replay under predict: err %v, prediction %v, run error %v; want a CLEAN WAW exception", err, rep.Prediction, rep.Err)
+	}
+
+	rep, err = RunWorkload("barnes", "test", false, cfg)
+	if err != nil || rep.Prediction == nil || len(rep.Prediction.Predictions) == 0 {
+		t.Errorf("RunWorkload under predict: err %v, report %+v; want barnes's certified races", err, rep)
 	}
 }
 

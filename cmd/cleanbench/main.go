@@ -39,7 +39,7 @@ func main() {
 		memProf  = flag.String("memprofile", "", "write an allocation profile at exit to this file")
 		parallel = flag.Bool("parallel", false, "fan independent runs across CPU cores (deterministic output is unchanged)")
 		workers  = flag.Int("workers", 0, "worker count for -parallel (0 = GOMAXPROCS)")
-		baseline = flag.String("baseline", "", "directory holding baseline BENCH_hotpath.json; the hotpath experiment fails on tolerance-band regressions against it")
+		baseline = flag.String("baseline", "", "directory holding the baseline BENCH_hotpath.json and BENCH_predict.json; the hotpath and predict experiments fail on a tolerance-band regression, or a gated key missing from either file")
 	)
 	flag.Parse()
 

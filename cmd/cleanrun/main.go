@@ -35,7 +35,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/predict"
 	"repro/internal/service"
-	"repro/internal/workloads"
 )
 
 func main() {
@@ -97,12 +96,8 @@ func main() {
 		return
 	}
 
-	if detection == clean.DetectPredict {
-		if *faultStr != "" || *diagnose || *timeline != "" || *report != "" {
-			log.Fatal("-det predict supports plain runs only (no -faults, -diagnose, -timeline, -report)")
-		}
-		runPredict(*name, *scale, *variant, *seed, *maxSteps)
-		return
+	if detection == clean.DetectPredict && (*faultStr != "" || *diagnose || *timeline != "" || *report != "") {
+		log.Fatal("-det predict supports plain runs only (no -faults, -diagnose, -timeline, -report)")
 	}
 
 	if *faultStr != "" {
@@ -184,6 +179,10 @@ func main() {
 	}
 
 	header()
+	if rep.Prediction != nil {
+		printPrediction(rep.Prediction, *seed)
+		return
+	}
 	fmt.Printf("detector:   %s   deterministic sync: %v   seed: %d\n", *det, *detsync, *seed)
 	fmt.Printf("elapsed:    %v\n", rep.Elapsed)
 	s := rep.Stats
@@ -385,26 +384,11 @@ func writeReport(path string, rep *clean.RunReport) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// runPredict executes the workload once under the seeded recorder, then
-// predicts races in the recorded run's sync-preserving reorderings and
-// certifies each by replaying its witness schedule against the CLEAN
-// detector (internal/predict). Exit 2 when any prediction certifies.
-func runPredict(name, scale, variant string, seed int64, maxSteps uint64) {
-	w, ok := workloads.ByName(name)
-	if !ok {
-		log.Fatalf("unknown workload %q (see -list)", name)
-	}
-	sc, err := workloads.ParseScale(scale)
-	if err != nil {
-		log.Fatal(err)
-	}
-	v := workloads.Unmodified
-	if variant == "modified" {
-		v = workloads.Modified
-	}
-	res := predict.Run(predict.WorkloadTarget(w, sc, v), predict.Options{Seed: seed, MaxSteps: maxSteps})
-
-	fmt.Printf("workload:   %s (%s, %s)\n", name, scale, variant)
+// printPrediction reports a -det predict run: one run under the seeded
+// recorder, then races predicted in its sync-preserving reorderings, each
+// certified by replaying its witness schedule against the CLEAN detector
+// (internal/predict). Exit 2 when any prediction certifies.
+func printPrediction(res *predict.Result, seed int64) {
 	fmt.Printf("detector:   predict   seed: %d\n", seed)
 	if res.Recording.Err != nil {
 		fmt.Printf("recording:  ended with %v\n", res.Recording.Err)

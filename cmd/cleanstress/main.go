@@ -66,7 +66,10 @@ func main() {
 		violations++
 	}
 	if *baseline != "" {
-		bv := gateAgainstBaseline(f, *baseline)
+		bv, err := telemetry.Gate(f, *baseline, gatedKeys)
+		if err != nil {
+			bv = append(bv, err.Error())
+		}
 		for _, v := range bv {
 			fmt.Printf("VIOLATION:  %s\n", v)
 			violations++

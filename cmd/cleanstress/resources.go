@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -242,63 +241,18 @@ func (sm *sampler) resourceReport(w *os.File, f *telemetry.BenchFile) []string {
 	return violations
 }
 
-// baselineBand is one gated summary key: current must stay within
-// max(factor × base, base + slack).
-type baselineBand struct {
-	key    string
-	factor float64
-	slack  float64
-}
-
-// gatedKeys are the baseline-compared quantities. Latency bands absorb
-// an order of magnitude of shared-runner noise; resource bands absorb
-// GC timing; anything beyond that is a real regression.
-var gatedKeys = []baselineBand{
-	{"soak.submit_seconds.p95", 10, 5.0},
-	{"soak.submit_seconds.p99", 10, 5.0},
-	{"soak.e2e_seconds.p95", 10, 5.0},
-	{"soak.e2e_seconds.p99", 10, 5.0},
-	{"soak.curve.goroutines.p100", 2, 50},
-	{"soak.curve.heap_bytes.max", 3, 64 << 20},
-	{"soak.curve.journal_bytes.max", 3, 32 << 20},
-	{"soak.curve.shadow_pages.p100", 2, 64},
-	{"soak.curve.shadow_meta_bytes.max", 3, 8 << 20},
-}
-
-// gateAgainstBaseline diffs the soak's bench file against the
-// checked-in baseline and returns tolerance-band violations. A gated
-// key missing from the current run is itself a violation — silently
-// dropping an instrument must not pass the gate.
-func gateAgainstBaseline(f *telemetry.BenchFile, dir string) []string {
-	path := filepath.Join(dir, telemetry.BenchFileName("service"))
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return []string{fmt.Sprintf("baseline unreadable: %v", err)}
-	}
-	base, err := telemetry.DecodeBenchFile(data)
-	if err != nil {
-		return []string{fmt.Sprintf("baseline %s: %v", path, err)}
-	}
-	var violations []string
-	for _, b := range gatedKeys {
-		bv, ok := base.Summary[b.key]
-		if !ok {
-			continue // baseline predates the key; nothing to gate against
-		}
-		cv, ok := f.Summary[b.key]
-		if !ok {
-			violations = append(violations, fmt.Sprintf("baseline key %s missing from this run", b.key))
-			continue
-		}
-		allowed := b.factor * bv
-		if lo := bv + b.slack; lo > allowed {
-			allowed = lo
-		}
-		if cv > allowed {
-			violations = append(violations, fmt.Sprintf(
-				"%s = %g exceeds baseline band %g (base %g, ≤ max(%g×, +%g))",
-				b.key, cv, allowed, bv, b.factor, b.slack))
-		}
-	}
-	return violations
+// gatedKeys are the baseline-compared quantities, each allowed up to
+// max(factor × base, base + slack). Latency bands absorb an order of
+// magnitude of shared-runner noise; resource bands absorb GC timing;
+// anything beyond that is a real regression.
+var gatedKeys = []telemetry.Band{
+	{Key: "soak.submit_seconds.p95", Factor: 10, Slack: 5.0},
+	{Key: "soak.submit_seconds.p99", Factor: 10, Slack: 5.0},
+	{Key: "soak.e2e_seconds.p95", Factor: 10, Slack: 5.0},
+	{Key: "soak.e2e_seconds.p99", Factor: 10, Slack: 5.0},
+	{Key: "soak.curve.goroutines.p100", Factor: 2, Slack: 50},
+	{Key: "soak.curve.heap_bytes.max", Factor: 3, Slack: 64 << 20},
+	{Key: "soak.curve.journal_bytes.max", Factor: 3, Slack: 32 << 20},
+	{Key: "soak.curve.shadow_pages.p100", Factor: 2, Slack: 64},
+	{Key: "soak.curve.shadow_meta_bytes.max", Factor: 3, Slack: 8 << 20},
 }

@@ -37,12 +37,12 @@ type Diagnosis struct {
 // combined. Determinism makes the re-runs meaningful: with cfg's seed
 // fixed, all three runs observe the same execution prefix.
 func DiagnoseWorkload(name, scale string, modified bool, cfg Config) (*Diagnosis, error) {
-	id, build, err := workloadTarget(name, scale, modified)
+	id, target, err := workloadTarget(name, scale, modified)
 	if err != nil {
 		return nil, err
 	}
 	// 1. Production run under CLEAN, as RunWorkload runs it.
-	first, err := run(cfg, cfg.detector(), nil, id, build)
+	first, err := run(cfg, cfg.detector(), nil, id, target)
 	if err != nil {
 		return nil, err
 	}
@@ -55,7 +55,7 @@ func DiagnoseWorkload(name, scale string, modified bool, cfg Config) (*Diagnosis
 	}
 	// rerun replays the same schedule under a monitor-mode detector.
 	rerun := func(det Detector) error {
-		rep, err := run(cfg, det, nil, id, build)
+		rep, err := run(cfg, det, nil, id, target)
 		if err != nil {
 			return err
 		}

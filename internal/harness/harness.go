@@ -12,6 +12,7 @@ import (
 	clean "repro"
 	"repro/internal/machine"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -48,10 +49,12 @@ type Options struct {
 	// all deterministic output (counters, hashes, outcomes, tables) is
 	// byte-identical to a sequential run.
 	Parallel int
-	// BaselineDir, if non-empty, makes the hotpath experiment gate its
-	// fresh measurements against the BENCH_hotpath.json checked in there:
-	// any allocs_per_op above baseline or ns_per_op beyond the tolerance
-	// band fails the experiment (cleanbench -baseline).
+	// BaselineDir, if non-empty, makes the hotpath and predict
+	// experiments gate their fresh summaries against the
+	// BENCH_hotpath.json and BENCH_predict.json checked in there
+	// (telemetry.Gate): a value beyond its tolerance band, or a gated key
+	// missing from either file, fails the experiment (cleanbench
+	// -baseline).
 	BaselineDir string
 }
 
@@ -183,6 +186,29 @@ func RunAll(w io.Writer, o Options) error {
 			return fmt.Errorf("%s: %w", e.Name, err)
 		}
 		fmt.Fprintln(w)
+	}
+	return nil
+}
+
+// reportGates fails an experiment on its violations: those it found
+// itself and, with Options.BaselineDir set, every band telemetry.Gate
+// finds broken against the checked-in BENCH_<experiment>.json.
+func reportGates(w io.Writer, o Options, bench *telemetry.BenchFile, bands []telemetry.Band, violations []string) error {
+	if o.BaselineDir != "" {
+		bv, err := telemetry.Gate(bench, o.BaselineDir, bands)
+		if err != nil {
+			return err
+		}
+		violations = append(violations, bv...)
+	}
+	for _, v := range violations {
+		fmt.Fprintf(w, "GATE VIOLATION: %s\n", v)
+	}
+	if len(violations) > 0 {
+		return fmt.Errorf("%s: %d gate violation(s)", bench.Experiment, len(violations))
+	}
+	if o.BaselineDir != "" {
+		fmt.Fprintf(w, "baseline gate ok (%s)\n", o.BaselineDir)
 	}
 	return nil
 }

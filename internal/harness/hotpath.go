@@ -3,10 +3,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -32,13 +28,54 @@ import (
 // measurements are inherently wall-clock, so this experiment ignores
 // Options.Parallel and always runs sequentially on an idle pool.
 func Hotpath(w io.Writer, o Options) error {
+	bench := telemetry.NewBenchFile("hotpath")
+	tb := stats.NewTable("path", "ns/op", "allocs/op")
+	for _, mk := range hotpathMarks() {
+		res := testing.Benchmark(mk.fn)
+		ns := float64(res.T.Nanoseconds()) / float64(res.N)
+		allocs := float64(res.AllocsPerOp())
+		tb.AddRow(mk.name, ns, allocs)
+		bench.AddSummary("hotpath."+mk.name+".ns_per_op", ns)
+		bench.AddSummary("hotpath."+mk.name+".allocs_per_op", allocs)
+	}
+
+	if _, err := fmt.Fprint(w, tb.String()); err != nil {
+		return err
+	}
+	if o.JSONDir != "" {
+		path, err := bench.WriteFile(o.JSONDir)
+		if err != nil {
+			return fmt.Errorf("hotpath: writing bench file: %w", err)
+		}
+		fmt.Fprintf(w, "wrote %s\n", path)
+	}
+	return reportGates(w, o, bench, hotpathBands(), nil)
+}
+
+// hotpathBands gates every mark against the baseline: allocs_per_op may
+// not exceed it (which pins the hot paths at zero), and ns_per_op must
+// stay within max(4× base, base + 50 ns). The ns band is generous —
+// shared CI runners are an order of magnitude noisier than a quiet
+// machine — so only step-function regressions (a lost fast path, a new
+// allocation, an accidental O(n) scan) trip it.
+func hotpathBands() (bands []telemetry.Band) {
+	for _, mk := range hotpathMarks() {
+		bands = append(bands, telemetry.Band{Key: "hotpath." + mk.name + ".ns_per_op", Factor: 4, Slack: 50},
+			telemetry.Band{Key: "hotpath." + mk.name + ".allocs_per_op", Factor: 1})
+	}
+	return bands
+}
+
+// hotpathMark is one micro-measurement, named as in BENCH_hotpath.json.
+type hotpathMark struct {
+	name string
+	fn   func(b *testing.B)
+}
+
+func hotpathMarks() []hotpathMark {
 	epochA := vclock.DefaultLayout.Pack(1, 1)
 	epochB := vclock.DefaultLayout.Pack(2, 1)
-
-	marks := []struct {
-		name string
-		fn   func(b *testing.B)
-	}{
+	return []hotpathMark{
 		{"shadow.load", func(b *testing.B) {
 			r := shadow.New()
 			r.Store(64, epochA)
@@ -133,100 +170,6 @@ func Hotpath(w io.Writer, o Options) error {
 		{"machine.step", benchMachineStep},
 		{"machine.kendo_lock", benchKendoLock},
 	}
-
-	bench := telemetry.NewBenchFile("hotpath")
-	tb := stats.NewTable("path", "ns/op", "allocs/op")
-	for _, mk := range marks {
-		res := testing.Benchmark(mk.fn)
-		ns := float64(res.T.Nanoseconds()) / float64(res.N)
-		allocs := float64(res.AllocsPerOp())
-		tb.AddRow(mk.name, ns, allocs)
-		bench.AddSummary("hotpath."+mk.name+".ns_per_op", ns)
-		bench.AddSummary("hotpath."+mk.name+".allocs_per_op", allocs)
-	}
-
-	if _, err := fmt.Fprint(w, tb.String()); err != nil {
-		return err
-	}
-	if o.JSONDir != "" {
-		path, err := bench.WriteFile(o.JSONDir)
-		if err != nil {
-			return fmt.Errorf("hotpath: writing bench file: %w", err)
-		}
-		fmt.Fprintf(w, "wrote %s\n", path)
-	}
-	if o.BaselineDir != "" {
-		violations, err := gateHotpathBaseline(bench, o.BaselineDir)
-		if err != nil {
-			return err
-		}
-		if len(violations) > 0 {
-			for _, v := range violations {
-				fmt.Fprintf(w, "BASELINE VIOLATION: %s\n", v)
-			}
-			return fmt.Errorf("hotpath: %d baseline violation(s) against %s", len(violations), o.BaselineDir)
-		}
-		fmt.Fprintf(w, "baseline gate ok (%s)\n", o.BaselineDir)
-	}
-	return nil
-}
-
-// hotpathNsBand is the tolerance for gated ns_per_op keys: current must
-// stay within max(factor × base, base + slackNs). The band is generous —
-// shared CI runners are an order of magnitude noisier than a quiet
-// machine — so only step-function regressions (a lost fast path, a new
-// allocation, an accidental O(n) scan) trip it.
-const (
-	hotpathNsFactor = 4.0
-	hotpathNsSlack  = 50.0 // ns
-)
-
-// gateHotpathBaseline compares a fresh hotpath bench file against the
-// checked-in baseline: every key present in both is gated — allocs_per_op
-// must not exceed the baseline (which pins the hot paths at zero), and
-// ns_per_op must stay inside the tolerance band. Keys only in one file are
-// ignored, so adding a benchmark does not invalidate an old baseline.
-func gateHotpathBaseline(cur *telemetry.BenchFile, dir string) ([]string, error) {
-	path := filepath.Join(dir, telemetry.BenchFileName("hotpath"))
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("hotpath: baseline unreadable: %w", err)
-	}
-	base, err := telemetry.DecodeBenchFile(data)
-	if err != nil {
-		return nil, fmt.Errorf("hotpath: baseline %s: %w", path, err)
-	}
-	keys := make([]string, 0, len(base.Summary))
-	for k := range base.Summary {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var violations []string
-	for _, k := range keys {
-		bv := base.Summary[k]
-		cv, ok := cur.Summary[k]
-		if !ok {
-			continue
-		}
-		switch {
-		case strings.HasSuffix(k, ".allocs_per_op"):
-			if cv > bv {
-				violations = append(violations, fmt.Sprintf(
-					"%s = %g allocs, baseline %g — the hot path started allocating", k, cv, bv))
-			}
-		case strings.HasSuffix(k, ".ns_per_op"):
-			allowed := hotpathNsFactor * bv
-			if lo := bv + hotpathNsSlack; lo > allowed {
-				allowed = lo
-			}
-			if cv > allowed {
-				violations = append(violations, fmt.Sprintf(
-					"%s = %.2f ns exceeds band %.2f (base %.2f, ≤ max(%g×, +%gns))",
-					k, cv, allowed, bv, hotpathNsFactor, hotpathNsSlack))
-			}
-		}
-	}
-	return violations, nil
 }
 
 // benchMachineAccess times the full instrumented 8-byte shared store —

@@ -96,11 +96,12 @@ func TestParallelPerfJSONMatchesSequential(t *testing.T) {
 }
 
 // TestBaselineSnapshotsDecode keeps the checked-in bench baselines honest:
-// they must parse under the current schema, and the hotpath baseline must
-// pin every fast-path allocation gauge at zero.
+// each must decode under the current schema, name its experiment and hold
+// every key its gate's bands name, and the hotpath baseline must pin every
+// allocs_per_op gauge at zero.
 func TestBaselineSnapshotsDecode(t *testing.T) {
 	dir := filepath.Join("..", "..", "testdata", "bench-baseline")
-	for _, exp := range []string{"perf", "hotpath"} {
+	for exp, bands := range map[string][]telemetry.Band{"hotpath": hotpathBands(), "predict": predictBands} {
 		data, err := os.ReadFile(filepath.Join(dir, telemetry.BenchFileName(exp)))
 		if err != nil {
 			t.Fatalf("baseline snapshot missing: %v", err)
@@ -112,18 +113,14 @@ func TestBaselineSnapshotsDecode(t *testing.T) {
 		if f.Experiment != exp {
 			t.Fatalf("%s baseline names experiment %q", exp, f.Experiment)
 		}
-		if exp == "hotpath" {
-			guarded := 0
-			for name, v := range f.Summary {
-				if strings.HasSuffix(name, ".allocs_per_op") {
-					guarded++
-					if v != 0 {
-						t.Errorf("baseline %s = %v, want 0", name, v)
-					}
-				}
+		for _, b := range bands {
+			if _, ok := f.Summary[b.Key]; !ok {
+				t.Errorf("%s baseline lacks gated key %s", exp, b.Key)
 			}
-			if guarded == 0 {
-				t.Error("hotpath baseline has no allocs_per_op gauges")
+		}
+		for name, v := range f.Summary {
+			if strings.HasSuffix(name, ".allocs_per_op") && v != 0 {
+				t.Errorf("baseline %s = %v, want 0", name, v)
 			}
 		}
 	}

@@ -191,67 +191,17 @@ func Predict(w io.Writer, o Options) error {
 		violations = append(violations, fmt.Sprintf(
 			"steps ratio %.4f at or above the %.2f ceiling", stepsRatio, predictMaxStepsRatio))
 	}
-	if o.BaselineDir != "" {
-		bv, err := gatePredictBaseline(bench, o.BaselineDir)
-		if err != nil {
-			return err
-		}
-		violations = append(violations, bv...)
-	}
-	if len(violations) > 0 {
-		for _, v := range violations {
-			fmt.Fprintf(w, "GATE VIOLATION: %s\n", v)
-		}
-		return fmt.Errorf("predict: %d gate violation(s)", len(violations))
-	}
-	if o.BaselineDir != "" {
-		fmt.Fprintf(w, "baseline gate ok (%s)\n", o.BaselineDir)
-	}
-	return nil
+	return reportGates(w, o, bench, predictBands, violations)
 }
 
-// Tolerances for the baseline gate. The pipeline is fully deterministic,
-// so fresh numbers normally reproduce the snapshot exactly; the bands
-// exist to let intentional corpus or algorithm changes land without
-// byte-matching, while still catching a real regression.
-const (
-	predictRecallSlack = 0.05 // recall may drop at most this far below baseline
-	predictRatioFactor = 1.5  // steps ratio may grow at most this much over baseline
-	predictRatioSlack  = 0.01 // ...or by this absolute amount, whichever is larger
-)
-
-// gatePredictBaseline compares fresh aggregates against the checked-in
-// BENCH_predict.json: recall must stay within predictRecallSlack of the
-// baseline and the steps ratio inside its tolerance band. Keys missing
-// from either side are ignored, mirroring the hotpath gate.
-func gatePredictBaseline(cur *telemetry.BenchFile, dir string) ([]string, error) {
-	path := filepath.Join(dir, telemetry.BenchFileName("predict"))
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("predict: baseline unreadable: %w", err)
-	}
-	base, err := telemetry.DecodeBenchFile(data)
-	if err != nil {
-		return nil, fmt.Errorf("predict: baseline %s: %w", path, err)
-	}
-	var violations []string
-	if bv, ok := base.Summary["predict.recall"]; ok {
-		if cv, ok2 := cur.Summary["predict.recall"]; ok2 && cv < bv-predictRecallSlack {
-			violations = append(violations, fmt.Sprintf(
-				"predict.recall = %.3f fell more than %.2f below baseline %.3f", cv, predictRecallSlack, bv))
-		}
-	}
-	if bv, ok := base.Summary["predict.steps_ratio"]; ok {
-		if cv, ok2 := cur.Summary["predict.steps_ratio"]; ok2 {
-			allowed := predictRatioFactor * bv
-			if lo := bv + predictRatioSlack; lo > allowed {
-				allowed = lo
-			}
-			if cv > allowed {
-				violations = append(violations, fmt.Sprintf(
-					"predict.steps_ratio = %.4f exceeds band %.4f (base %.4f)", cv, allowed, bv))
-			}
-		}
-	}
-	return violations, nil
+// predictBands gate the aggregates against the checked-in
+// BENCH_predict.json: recall may drop at most 0.05 below the baseline,
+// and the steps ratio may grow to max(1.5× base, base + 0.01). The
+// pipeline is fully deterministic, so fresh numbers normally reproduce
+// the snapshot exactly; the bands exist to let intentional corpus or
+// algorithm changes land without byte-matching, while still catching a
+// real regression.
+var predictBands = []telemetry.Band{
+	{Key: "predict.recall", Factor: 1, Slack: 0.05, Floor: true},
+	{Key: "predict.steps_ratio", Factor: 1.5, Slack: 0.01},
 }

@@ -558,7 +558,6 @@ func (m *Machine) injectSpuriousWakes() (woke bool) {
 				break
 			}
 		}
-		t.spurious = true
 		t.state = stateRunnable
 		woke = true
 		m.stats.SpuriousWakes++

@@ -232,11 +232,6 @@ func (t *Thread) CondWait(c *Cond, l *Mutex) {
 	t.waitingCond = c
 	t.block("cond " + fmt.Sprint(c.id))
 	t.waitingCond = nil
-	if t.spurious {
-		// Injected spurious wakeup: no waker, so no clock or counter to
-		// consume — the thread simply re-acquires the mutex.
-		t.spurious = false
-	}
 	// Woken: consume the waker's stashed clock and counter (both zero
 	// after a spurious wakeup).
 	t.VC.Join(t.wakeVC)

@@ -92,8 +92,6 @@ type Thread struct {
 	// waitingCond is the condition variable the thread is blocked on, if
 	// any; the spurious-wakeup fault needs it to delist the thread.
 	waitingCond *Cond
-	// spurious marks that the current wakeup was injected, not signalled.
-	spurious bool
 	// crashed marks a thread that died to an injected fault.
 	crashed bool
 	// sfrStart is the logical start time of the thread's current

@@ -42,7 +42,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/gofront"
 	"repro/internal/machine"
-	"repro/internal/predict"
 	"repro/internal/prog"
 	"repro/internal/shadow"
 	"repro/internal/staticrace"
@@ -1056,16 +1055,11 @@ func (s *Server) runJob(j *job) []apiv1.RunResult {
 		switch {
 		case j.expired():
 			return deadlineResult(j, seeds[i])
-		case det == clean.DetectPredict && len(j.spec.Schedule) == 0:
-			if j.prog == nil {
-				// JobSpec.Validate rejects predict+workload at submission;
-				// this catches sessions opened in predict mode.
-				return errorResult(seeds[i], errors.New("predict mode needs a program-backed job (program, litmus or go_source)"))
-			}
-			return s.runPredict(j.prog, seeds[i], maxSteps)
+		case det == clean.DetectPredict && j.prog == nil:
+			// JobSpec.Validate rejects predict+workload at submission;
+			// this catches sessions opened in predict mode.
+			return errorResult(seeds[i], errors.New("predict mode needs a program-backed job (program, litmus or go_source)"))
 		default:
-			// A predict session's scheduled replay runs here too, under
-			// CLEAN, the detector predictions certify with.
 			return s.run(j, det, seeds[i], maxSteps)
 		}
 	})
@@ -1138,7 +1132,9 @@ func errorResult(seed int64, err error) apiv1.RunResult {
 
 // run is the one detection path: the job's program (replayed under its
 // schedule, if any) or workload, run once through the facade under the
-// session's options and converted into the v1 result.
+// session's options and converted into the v1 result. A predict run's
+// certified races read like a detection: the first one's witness and
+// hash are the run's. A predict run that certified none carries no hash.
 func (s *Server) run(j *job, det clean.Detection, seed int64, maxSteps uint64) apiv1.RunResult {
 	cfg, err := clean.NewConfig(s.runOptions(j.sess.cfg, det, seed, maxSteps)...)
 	if err != nil {
@@ -1167,7 +1163,7 @@ func (s *Server) run(j *job, det clean.Detection, seed int64, maxSteps uint64) a
 	if rep.Err != nil {
 		res.Error = rep.Err.Error()
 		res.Witness = witnessOf(rep.Err)
-	} else {
+	} else if rep.Prediction == nil {
 		res.DeterminismHash = telemetry.FormatHash(rep.OutputHash)
 	}
 	if res.Witness != nil && len(j.spec.Schedule) > 0 {
@@ -1176,33 +1172,13 @@ func (s *Server) run(j *job, det clean.Detection, seed int64, maxSteps uint64) a
 		// certified reorderings and staticrace's static witnesses.
 		res.Witness.Schedule = staticrace.V1Schedule(j.prog, j.spec.Schedule...)
 	}
-	res.Report = rep.Telemetry
-	return res
-}
-
-// runPredict runs a program job in predictive mode: one recorded
-// execution under the seed, then sync-preserving reordering with
-// certification-by-replay. A run with certified predictions reports
-// OutcomeRaceException and carries the full predicted-race documents;
-// the first prediction's witness doubles as the RunResult witness so
-// predict results read like detection results.
-func (s *Server) runPredict(p *prog.Program, seed int64, maxSteps uint64) apiv1.RunResult {
-	start := time.Now()
-	pr := predict.Run(predict.ProgramTarget(p), predict.Options{Seed: seed, MaxSteps: maxSteps})
-	res := apiv1.RunResult{
-		Seed:           seed,
-		Outcome:        clean.OutcomeOf(pr.Recording.Err),
-		ElapsedSeconds: time.Since(start).Seconds(),
-	}
-	if pr.Recording.Err != nil {
-		res.Error = pr.Recording.Err.Error()
-	}
-	if len(pr.Predictions) > 0 {
+	if pr := rep.Prediction; pr != nil && len(pr.Predictions) > 0 {
 		res.Outcome = apiv1.OutcomeRaceException
 		res.Predicted = pr.V1(nil)
 		res.Witness = res.Predicted[0].Witness
 		res.DeterminismHash = res.Predicted[0].DeterminismHash
 	}
+	res.Report = rep.Telemetry
 	return res
 }
 

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	clean "repro"
 	apiv1 "repro/api/v1"
 	"repro/internal/gofront"
+	"repro/internal/predict"
 	"repro/internal/prog"
 	"repro/internal/telemetry"
 )
@@ -687,12 +689,22 @@ func TestPredictJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := c.Run(ctx, sess.ID, apiv1.JobSpec{Litmus: "waw", Detection: apiv1.DetectionPredict})
+	seeds := []int64{0, 1, 2}
+	job, err := c.Run(ctx, sess.ID, apiv1.JobSpec{Litmus: "waw", Detection: apiv1.DetectionPredict, Seeds: seeds})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job.State != apiv1.JobDone || len(job.Runs) != 1 {
-		t.Fatalf("job state %q with %d runs, want done with 1", job.State, len(job.Runs))
+	if job.State != apiv1.JobDone || len(job.Runs) != len(seeds) {
+		t.Fatalf("job state %q with %d runs, want done with %d", job.State, len(job.Runs), len(seeds))
+	}
+	// Each seed's run carries exactly what the prediction pipeline
+	// certifies for that seed in-process.
+	waw := prog.LitmusByName("waw").P
+	for i, s := range seeds {
+		want := predict.Run(predict.ProgramTarget(waw), predict.Options{Seed: s}).V1(nil)
+		if !reflect.DeepEqual(job.Runs[i].Predicted, want) {
+			t.Errorf("seed %d: service predicted %+v, in-process %+v", s, job.Runs[i].Predicted, want)
+		}
 	}
 	res := job.Runs[0]
 	if res.Outcome != apiv1.OutcomeRaceException {

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -98,6 +99,55 @@ func (f *BenchFile) WriteFile(dir string) (string, error) {
 		return "", err
 	}
 	return path, nil
+}
+
+// Band gates one summary key of a bench file against its checked-in
+// baseline value base. A ceiling band lets the run rise to
+// max(Factor × base, base + Slack); a Floor band lets it fall to
+// min(Factor × base, base − Slack).
+type Band struct {
+	Key    string
+	Factor float64
+	Slack  float64
+	Floor  bool
+}
+
+// Gate compares cur's summary against the baseline BENCH_<experiment>.json
+// in dir and returns one violation, naming the key, for each band the run
+// breaks. A band whose key is missing from the baseline or from the run
+// is a violation too: a renamed or dropped key must not pass unchecked.
+// An unreadable or invalid baseline is an error.
+func Gate(cur *BenchFile, dir string, bands []Band) ([]string, error) {
+	path := filepath.Join(dir, BenchFileName(cur.Experiment))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("telemetry: baseline unreadable: %w", err)
+	}
+	base, err := DecodeBenchFile(data)
+	if err != nil {
+		return nil, fmt.Errorf("telemetry: baseline %s: %w", path, err)
+	}
+	var violations []string
+	for _, b := range bands {
+		bv, inBase := base.Summary[b.Key]
+		cv, inRun := cur.Summary[b.Key]
+		lo, hi := math.Min(b.Factor*bv, bv-b.Slack), math.Max(b.Factor*bv, bv+b.Slack)
+		var v string
+		switch {
+		case !inBase:
+			v = "missing from baseline " + path
+		case !inRun:
+			v = "missing from this run"
+		case b.Floor && cv < lo:
+			v = fmt.Sprintf("= %g below band %g (base %g, ≥ min(%g×, −%g))", cv, lo, bv, b.Factor, b.Slack)
+		case !b.Floor && cv > hi:
+			v = fmt.Sprintf("= %g exceeds band %g (base %g, ≤ max(%g×, +%g))", cv, hi, bv, b.Factor, b.Slack)
+		default:
+			continue
+		}
+		violations = append(violations, b.Key+" "+v)
+	}
+	return violations, nil
 }
 
 // SortRuns orders the contained runs by (workload, variant, seed) so a

@@ -343,3 +343,68 @@ func TestBenchFileWriteFile(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestGate: a run equal to its baseline passes; every way of breaking a
+// band — a ceiling exceeded, a floor undercut, an allocation on a path
+// pinned at zero, a key missing from either file — is exactly one
+// violation naming the key; an unreadable baseline is an error.
+func TestGate(t *testing.T) {
+	dir := t.TempDir()
+	base := NewBenchFile("gate")
+	base.AddSummary("hotpath.x.ns_per_op", 100)
+	base.AddSummary("hotpath.x.allocs_per_op", 0)
+	base.AddSummary("predict.recall", 1)
+	if _, err := base.WriteFile(dir); err != nil {
+		t.Fatal(err)
+	}
+	bands := []Band{
+		{Key: "hotpath.x.ns_per_op", Factor: 4, Slack: 50},
+		{Key: "hotpath.x.allocs_per_op", Factor: 1},
+		{Key: "predict.recall", Factor: 1, Slack: 0.05, Floor: true},
+	}
+	cases := []struct {
+		name    string
+		mutate  func(s map[string]float64)
+		extra   []Band
+		wantKey string // "" = no violation
+		wantMsg string
+	}{
+		{name: "equal", mutate: func(map[string]float64) {}},
+		{name: "ceiling edge", mutate: func(s map[string]float64) { s["hotpath.x.ns_per_op"] = 400 }},
+		{name: "floor edge", mutate: func(s map[string]float64) { s["predict.recall"] = 0.96 }},
+		{name: "ceiling exceeded", mutate: func(s map[string]float64) { s["hotpath.x.ns_per_op"] = 401 },
+			wantKey: "hotpath.x.ns_per_op", wantMsg: "exceeds band"},
+		{name: "floor undercut", mutate: func(s map[string]float64) { s["predict.recall"] -= 0.06 },
+			wantKey: "predict.recall", wantMsg: "below band"},
+		{name: "allocation", mutate: func(s map[string]float64) { s["hotpath.x.allocs_per_op"] = 1 },
+			wantKey: "hotpath.x.allocs_per_op", wantMsg: "exceeds band"},
+		{name: "missing from run", mutate: func(s map[string]float64) { delete(s, "predict.recall") },
+			wantKey: "predict.recall", wantMsg: "missing from this run"},
+		{name: "missing from baseline", mutate: func(s map[string]float64) { s["hotpath.y.ns_per_op"] = 1 },
+			extra:   []Band{{Key: "hotpath.y.ns_per_op", Factor: 4, Slack: 50}},
+			wantKey: "hotpath.y.ns_per_op", wantMsg: "missing from baseline"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cur := NewBenchFile("gate")
+			for k, v := range base.Summary {
+				cur.AddSummary(k, v)
+			}
+			tc.mutate(cur.Summary)
+			v, err := Gate(cur, dir, append(append([]Band(nil), bands...), tc.extra...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case tc.wantKey == "" && len(v) != 0:
+				t.Errorf("violations %q, want none", v)
+			case tc.wantKey != "" && (len(v) != 1 || !strings.HasPrefix(v[0], tc.wantKey+" ") || !strings.Contains(v[0], tc.wantMsg)):
+				t.Errorf("violations %q, want one naming %s (%s)", v, tc.wantKey, tc.wantMsg)
+			}
+		})
+	}
+
+	if _, err := Gate(NewBenchFile("absent"), dir, bands); err == nil {
+		t.Error("unreadable baseline: no error")
+	}
+}
